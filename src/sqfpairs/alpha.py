@@ -15,7 +15,10 @@ through bare floating point.  Two representations are supported:
   are safe to share across threads.
 
 Fractional parts are exposed only as floating approximations for exponential
-sum evaluation; counting decisions always go through the exact floors.
+sum evaluation; counting decisions always go through the exact floors.  The
+bulk path evaluates them in double-double arithmetic (Dekker 1971, "A
+floating-point technique for extending the available precision") with a proven
+mod-1 error bound.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ from .errors import (
     NonPositiveAlphaError,
     NotIrrationalError,
     PrecisionExhaustedError,
+    RangeCapError,
 )
+from .sieves import GLOBAL_MAX
 
 #: Refinement starts here and doubles per round.
 _START_BITS = 128
@@ -40,8 +45,11 @@ _START_BITS = 128
 #: Hard cap on working precision; hitting it means the representation is broken.
 _MAX_BITS = 1 << 20
 
-#: Scale used for bulk fractional parts (mod-1 error per term below 1e-14).
-_FRAC_BITS = 96
+#: Largest h accepted by frac_parts; its error bound is proven up to here.
+MAX_H = 1 << 20
+
+#: Dekker's splitting constant 2**27 + 1 for 53-bit doubles.
+_SPLIT = 134217729.0
 
 _ONE_BELOW_ONE = math.nextafter(1.0, 0.0)
 
@@ -60,6 +68,21 @@ def _floor_mul_sqrt(y: int, D: int) -> int:
     s = math.isqrt(y * y * D)
     # y*sqrt(D) is irrational, so s < |y|*sqrt(D) < s+1 strictly
     return s if y > 0 else -s - 1
+
+
+def _split(a):
+    """Dekker's split: a == hi + lo exactly, each half with at most 26 bits."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a*b) and a*b == p + e exactly; no FMA needed."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 def _divisors(n: int) -> list[int]:
@@ -264,18 +287,18 @@ class AlgebraicAlpha:
         return val
 
     def frac_part_approx(self, h: int, n: int, m: int, eps: float = 1e-12) -> float:
-        """A float x in [0, 1) with |x - {alpha*h*n/m}| < eps.
+        """A float x in [0, 1) with |x - {alpha*h*n/m}| < eps + 2**-53.
 
         Anchored on the exact floor, so the bound holds even when the true
-        fractional part sits next to 0 or 1.
+        fractional part sits next to 0 or 1; the 2**-53 is the final rounding
+        to float.  This scalar path is the reference for frac_parts.
         """
         if h < 1 or n < 1 or m < 1:
             raise InvalidRangeError(f"need h, n, m >= 1, got h={h}, n={n}, m={m}")
         if not eps > 0:
             raise InvalidRangeError("eps must be positive")
         w = h * n
-        bits = max(_FRAC_BITS,
-                   (w // m).bit_length() + max(8, math.ceil(-math.log2(eps))) + 8)
+        bits = (w // m).bit_length() + max(8, math.ceil(-math.log2(eps))) + 8
         A = self.scaled_floor_bits(bits)
         F = self.floor_scaled(h, n, m)
         num = A * w - F * (m << bits)
@@ -283,20 +306,41 @@ class AlgebraicAlpha:
         return min(max(x, 0.0), _ONE_BELOW_ONE)
 
     def frac_parts(self, h: int, ns, m: int) -> np.ndarray:
-        """{alpha*h*n/m} for each n in ns, float64, mod-1 error below 1e-14.
+        """{alpha*h*n/m} for each n in ns, float64 in [0, 1).
 
-        Values within ~2**-50 of an integer may wrap to the other end of
-        [0, 1); the exponential e(2*pi*i*x) is unaffected, which is the only
-        consumer of this bulk path.
+        For 1 <= h <= MAX_H, m >= 1 and 0 <= n <= GLOBAL_MAX each value is
+        within 2**-51 (4.4e-16) of the true fractional part mod 1: values
+        within that distance of an integer may come out at either end of
+        [0, 1), which the exponential e(x), the only consumer, ignores.
+
+        Proof sketch.  With A = [alpha*2**128] and B = [A*h/m] mod 2**128,
+        beta = B/2**128 sits below {alpha*h/m} by less than
+        (h/m + 1)*2**-128, which n multiplies to under 2**-55.  B splits
+        exactly into b1 + b2 + tail: b1 its top 53 bits, b2 the next 53,
+        tail < 2**-106 (n*tail < 2**-54).  n is exact in float64 since
+        n < 2**53, so n*b1 = p + e exactly by Dekker's two-product, with
+        {p} exact and |e| <= 1/4; n*b2 < 1/2 rounds by at most 2**-55.
+        Adding e + n*b2, then {p}, then reducing mod 1 round by at most
+        2**-54, 2**-53 and 2**-54, and clamping 1.0 below 1 adds 2**-53:
+        in all less than 16 * 2**-55 = 2**-51.
         """
         if h < 1 or m < 1:
-            raise InvalidRangeError(f"need h >= 1 and m >= 1, got h={h}, m={m}")
-        A = self.scaled_floor_bits(_FRAC_BITS) * h
-        den = m << _FRAC_BITS
-        out = np.empty(len(ns), dtype=np.float64)
-        for i, n in enumerate(ns):
-            out[i] = (A * int(n)) % den / den
-        return out
+            raise InvalidRangeError(f"need h, m >= 1, got h={h}, m={m}")
+        if h > MAX_H:
+            raise RangeCapError(f"h={h} exceeds cap {MAX_H}")
+        ns = np.asarray(ns, dtype=np.int64)
+        if ns.size and (ns.min() < 0 or ns.max() > GLOBAL_MAX):
+            raise RangeCapError(f"frac_parts needs 0 <= n <= {GLOBAL_MAX}")
+        B = (self.scaled_floor_bits(128) * h // m) & ((1 << 128) - 1)
+        b1 = math.ldexp(B >> 75, -53)
+        b2 = math.ldexp((B >> 22) & ((1 << 53) - 1), -106)
+        x = ns.astype(np.float64)
+        p, e = _two_product(x, b1)
+        p -= np.floor(p)
+        e += x * b2
+        p += e
+        p -= np.floor(p)
+        return np.minimum(p, _ONE_BELOW_ONE, out=p)
 
     # ---- conversions ----
 

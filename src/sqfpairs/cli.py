@@ -16,11 +16,12 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from typing import Optional
 
 from . import constants, counting, expsum
 from .alpha import parse_alpha
-from .errors import CapError, ConfigError
+from .errors import CapError, ConfigError, RangeCapError
 from .sieves import DEFAULT_SEGMENT_CAP
 
 COMMANDS = ("sigma", "carlitz", "pairs", "single", "decompose", "expsum",
@@ -44,6 +45,10 @@ COLUMNS = {
 
 DYADIC_EPS = 0.01
 
+#: parse_count refuses longer integers, so 1e999999999 fails at once instead
+#: of being built; every cap in the package is far below this.
+_MAX_COUNT_DIGITS = 30
+
 
 @dataclass
 class ExperimentConfig:
@@ -64,17 +69,22 @@ class ExperimentConfig:
 
 
 def parse_count(token: str) -> int:
-    """One integer, scientific shorthand allowed (1e6)."""
-    token = token.strip()
-    if not token:
-        raise ConfigError("empty number")
+    """One integer, exactly; decimal shorthand allowed (1e6, 2.5e7).
+
+    The token is read as an exact decimal, never through float, so a value
+    that is not an integer is rejected instead of rounded.
+    """
     try:
-        val = float(token)
-    except ValueError:
+        value = Decimal(token)
+    except InvalidOperation:
         raise ConfigError(f"bad number {token!r}") from None
-    if abs(val - round(val)) > 1e-9 * max(1.0, abs(val)):
+    if not value.is_finite():
+        raise ConfigError(f"bad number {token!r}")
+    if value.adjusted() >= _MAX_COUNT_DIGITS:
+        raise RangeCapError(f"{token!r} has more than {_MAX_COUNT_DIGITS} digits")
+    if value != value.to_integral_value():
         raise ConfigError(f"{token!r} is not an integer")
-    return int(round(val))
+    return int(value)
 
 
 def parse_number_list(text: str) -> tuple:

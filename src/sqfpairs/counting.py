@@ -17,9 +17,10 @@ import numpy as np
 
 from . import constants
 from .alpha import AlgebraicAlpha
-from .errors import ConfigError, InvalidRangeError, NotCoprimeError
+from .errors import ConfigError, InvalidRangeError, NotCoprimeError, RangeCapError
 from .sieves import (
     DEFAULT_SEGMENT_CAP,
+    GLOBAL_MAX,
     base_primes,
     iter_prime_segments,
     squarefree_flags,
@@ -86,6 +87,15 @@ def _sf_window(lo: int, hi: int, segment_cap: int) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _check_n(alpha: AlgebraicAlpha, N: int) -> None:
+    """N >= 2, and floors [alpha*p] for p <= N within the sieves' range."""
+    if N < 2:
+        raise InvalidRangeError(f"need N >= 2, got N={N}")
+    top = alpha.to_float() * N
+    if top > GLOBAL_MAX:
+        raise RangeCapError(f"alpha*N = {top:.6g} exceeds global maximum {GLOBAL_MAX}")
+
+
 def carlitz_count(N: int, segment_cap: int = DEFAULT_SEGMENT_CAP) -> int:
     """Exact number of n <= N with n and n+1 both squarefree."""
     if N < 1:
@@ -103,8 +113,7 @@ def carlitz_count(N: int, segment_cap: int = DEFAULT_SEGMENT_CAP) -> int:
 
 
 def _count_over_primes(alpha: AlgebraicAlpha, N: int, pair: bool, segment_cap: int):
-    if N < 2:
-        raise InvalidRangeError(f"need N >= 2, got N={N}")
+    _check_n(alpha, N)
     count = 0
     pi_n = 0
     for ps in iter_prime_segments(2, N + 1, segment_cap):
@@ -159,8 +168,7 @@ def congruence_pair_count(alpha: AlgebraicAlpha, N: int, d: int, t: int,
         raise InvalidRangeError(f"need d, t >= 1, got d={d}, t={t}")
     if math.gcd(d, t) != 1:
         raise NotCoprimeError(f"gcd({d}, {t}) != 1")
-    if N < 2:
-        raise InvalidRangeError(f"need N >= 2, got N={N}")
+    _check_n(alpha, N)
     d2 = d * d
     t2 = t * t
     count = 0
@@ -194,8 +202,7 @@ def decompose(alpha: AlgebraicAlpha, N: int, z: float,
     The rare primes with [alpha*p] = 0 (possible only for alpha < 1/2) are
     skipped, matching the convention that 0 is not squarefree.
     """
-    if N < 2:
-        raise InvalidRangeError(f"need N >= 2, got N={N}")
+    _check_n(alpha, N)
     z_cap = (alpha.to_float() * N) ** (2.0 / 3.0) * (1.0 + 1e-9)
     if not 1.0 <= z <= z_cap:
         raise ConfigError(f"z={z} outside [1, (alpha*N)^(2/3)] = [1, {z_cap:.6g}]")

@@ -5,9 +5,12 @@ carry unspecified absolute constants, so nothing here asserts a bound with an
 invented constant: reports record the lhs/rhs ratio and the test suite
 freezes first-run values as regressions.
 
-Per-query prime iteration is single threaded with ascending p and pairwise
-summation (numpy's reduction), so results are deterministic; independent
-(h, d, t) queries could run in parallel without changing any output.
+Primes are streamed once per call, segment by segment in ascending order,
+and never materialized up to N.  A dyadic block evaluates all of its
+(h, d, t) triples on each segment of that one stream; every triple keeps its
+own complex sum, added to segment by segment exactly as exp_sum_primes does
+(pairwise summation within a segment, numpy's reduction), so the results are
+deterministic and equal to the per-query sums.
 """
 
 from __future__ import annotations
@@ -18,19 +21,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .alpha import AlgebraicAlpha
+from .alpha import MAX_H, AlgebraicAlpha
 from .errors import BudgetExceededError, ConfigError, InvalidRangeError, RangeCapError
-from .sieves import DEFAULT_SEGMENT_CAP, iter_prime_segments, prime_count
+from .sieves import DEFAULT_SEGMENT_CAP, iter_prime_segments
 
 #: Per-call cap on the number of evaluated (h, d, t, p) tuples.
 DEFAULT_BUDGET = 10 ** 6
 
-#: Caps keeping phase arithmetic well inside the exact range.
+#: Cap keeping phase arithmetic well inside the exact range; the cap MAX_H
+#: on h belongs to the phase layer (AlgebraicAlpha.frac_parts).
 MAX_PHASE_MODULUS = 1 << 40
-MAX_H = 1 << 20
 
-#: Per-term phase precision of the fractional-part evaluation.
-PHASE_EPS = 1e-12
+#: Per-term phase precision mod 1; AlgebraicAlpha.frac_parts proves 2**-51.
+PHASE_EPS = 1e-15
 
 _TWO_PI_I = 2j * np.pi
 
@@ -75,7 +78,7 @@ def _check_query(q: ExpSumQuery) -> int:
         raise InvalidRangeError(f"need h, d, t >= 1, got {q}")
     if q.N < 2:
         raise InvalidRangeError(f"need N >= 2, got N={q.N}")
-    if q.h > MAX_H:
+    if q.h > MAX_H:  # frac_parts' own cap, checked before any prime is sieved
         raise RangeCapError(f"h={q.h} exceeds cap {MAX_H}")
     m = (q.d * q.t) ** 2
     if m > MAX_PHASE_MODULUS:
@@ -83,20 +86,23 @@ def _check_query(q: ExpSumQuery) -> int:
     return m
 
 
+def _phase_sum(alpha: AlgebraicAlpha, h: int, ps: np.ndarray, m: int) -> complex:
+    """Sum of e(alpha*h*p/m) over the primes of one segment."""
+    return complex(np.exp(_TWO_PI_I * alpha.frac_parts(h, ps, m)).sum())
+
+
 def exp_sum_primes(alpha: AlgebraicAlpha, q: ExpSumQuery,
                    segment_cap: int = DEFAULT_SEGMENT_CAP) -> complex:
     """Sum of e(alpha*h*p/(d^2 t^2)) over primes p <= N.
 
-    Each phase is evaluated to PHASE_EPS, so the accumulated error stays
-    below pi(N) * 2*pi * PHASE_EPS.
+    Each phase is within PHASE_EPS of its true value mod 1, so the
+    accumulated error stays below pi(N) * 2*pi * PHASE_EPS plus the
+    rounding of exp and of the summation.
     """
     m = _check_query(q)
     total = 0j
     for ps in iter_prime_segments(2, q.N + 1, segment_cap):
-        if not ps.size:
-            continue
-        fr = alpha.frac_parts(q.h, ps.tolist(), m)
-        total += complex(np.exp(_TWO_PI_I * fr).sum())
+        total += _phase_sum(alpha, q.h, ps, m)
     return total
 
 
@@ -107,24 +113,39 @@ def _dyadic_range(x: float) -> range:
 def dyadic_block_sum(alpha: AlgebraicAlpha, q: DyadicQuery,
                      budget: int = DEFAULT_BUDGET,
                      segment_cap: int = DEFAULT_SEGMENT_CAP) -> float:
-    """Sum of |exp_sum_primes| over all integer (h, d, t) in the dyadic blocks."""
+    """Sum of |exp_sum_primes| over all integer (h, d, t) in the dyadic blocks.
+
+    One prime stream feeds every triple.  The work, (number of triples) *
+    pi(N), is counted along that stream, and BudgetExceededError is raised
+    as soon as it exceeds budget, before the phases of the segment that
+    crossed it are evaluated.  A block with more triples than budget is
+    refused before any triple is built or any prime sieved.
+    """
     if q.H < 1 or q.D < 1 or q.T < 1:
         raise InvalidRangeError(f"need H, D, T >= 1, got {q}")
     if q.N < 2:
         raise InvalidRangeError(f"need N >= 2, got N={q.N}")
-    hs = _dyadic_range(q.H)
-    ds = _dyadic_range(q.D)
-    ts = _dyadic_range(q.T)
-    work = len(hs) * len(ds) * len(ts) * prime_count(q.N, segment_cap)
-    if work > budget:
+    hs, ds, ts = _dyadic_range(q.H), _dyadic_range(q.D), _dyadic_range(q.T)
+    # pi(N) >= 1, so the triple count alone already bounds the work from below
+    if len(hs) * len(ds) * len(ts) > budget:
         raise BudgetExceededError(
-            f"{work} term evaluations exceed budget {budget}; shrink the blocks"
+            f"{len(hs) * len(ds) * len(ts)} triples already exceed budget "
+            f"{budget}; shrink the blocks"
         )
-    moduli = [
-        abs(exp_sum_primes(alpha, ExpSumQuery(h, d, t, q.N), segment_cap))
-        for h in hs for d in ds for t in ts
-    ]
-    return math.fsum(moduli)
+    triples = [(h, _check_query(ExpSumQuery(h, d, t, q.N)))
+               for h in hs for d in ds for t in ts]
+    sums = [0j] * len(triples)
+    work = 0
+    for ps in iter_prime_segments(2, q.N + 1, segment_cap):
+        work += len(triples) * int(ps.size)
+        if work > budget:
+            raise BudgetExceededError(
+                f"{work} term evaluations so far exceed budget {budget}; "
+                "shrink the blocks"
+            )
+        for i, (h, m) in enumerate(triples):
+            sums[i] += _phase_sum(alpha, h, ps, m)
+    return math.fsum(abs(s) for s in sums)
 
 
 def dyadic_bound_rhs(q: DyadicQuery, eps: float) -> BoundReport:

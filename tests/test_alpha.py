@@ -1,16 +1,24 @@
+import functools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from sqfpairs import AlgebraicAlpha, parse_alpha
+from sqfpairs.alpha import MAX_H
 from sqfpairs.errors import (
     AlphaParseError,
+    ConfigError,
     InvalidRangeError,
     NonPositiveAlphaError,
     NotIrrationalError,
+    RangeCapError,
 )
+from sqfpairs.expsum import MAX_PHASE_MODULUS, PHASE_EPS
+from sqfpairs.sieves import GLOBAL_MAX
 
 
 # ---- parsing ----
@@ -182,6 +190,73 @@ def test_frac_parts_in_unit_interval(sqrt2):
     pts = sqrt2.frac_parts(1, range(1, 1000), 7)
     assert pts.min() >= 0.0
     assert pts.max() < 1.0
+
+
+def _mod1_dist(x: float, y: float) -> float:
+    d = abs(x - y)
+    return min(d, 1.0 - d)
+
+
+def _worst_phase_error(alpha, h, ns, m) -> float:
+    bulk = alpha.frac_parts(h, ns, m)
+    return max(_mod1_dist(x, alpha.frac_part_approx(h, n, m, 1e-17))
+               for n, x in zip(ns, bulk.tolist()))
+
+
+def test_frac_parts_precision_at_caps(sqrt2, golden, poly_sqrt2):
+    # h and n at their caps, where the rounding of n*beta weighs most
+    ns = [GLOBAL_MAX, GLOBAL_MAX - 1, 2 ** 51 + 1]
+    ns += [GLOBAL_MAX - 1 - 104729 * k ** 5 for k in range(1, 30)]
+    for alpha in (sqrt2, golden, poly_sqrt2):
+        for h in (MAX_H, MAX_H - 3, 7):
+            for m in (1, 16, 36, 2 ** 40 - 1):
+                assert _worst_phase_error(alpha, h, ns, m) < PHASE_EPS, (alpha, h, m)
+
+
+def test_frac_parts_domain_checks(sqrt2):
+    with pytest.raises(RangeCapError):
+        sqrt2.frac_parts(MAX_H + 1, [5], 1)
+    with pytest.raises(InvalidRangeError):
+        sqrt2.frac_parts(0, [5], 1)
+    with pytest.raises(InvalidRangeError):
+        sqrt2.frac_parts(1, [5], 0)
+    with pytest.raises(RangeCapError):
+        sqrt2.frac_parts(1, [GLOBAL_MAX + 1], 1)
+    with pytest.raises(RangeCapError):
+        sqrt2.frac_parts(1, [-1], 1)
+    assert sqrt2.frac_parts(1, [], 1).shape == (0,)
+
+
+@functools.lru_cache(maxsize=None)
+def _alpha(spec):
+    return parse_alpha(spec)
+
+
+@st.composite
+def alpha_specs(draw):
+    kind = draw(st.sampled_from(("sqrt", "quad", "poly")))
+    if kind == "poly":
+        return "poly:-30000,0,0,1@31/1,32/1"
+    D = draw(st.integers(2, 10 ** 6))
+    assume(math.isqrt(D) ** 2 != D)
+    if kind == "sqrt":
+        return f"sqrt:{D}"
+    a = draw(st.integers(-10 ** 6, 10 ** 6))
+    b = draw(st.integers(-10 ** 6, 10 ** 6).filter(bool))
+    c = draw(st.integers(1, 10 ** 6))
+    spec = f"quad:{a},{b},{c},{D}"
+    try:
+        _alpha(spec)
+    except ConfigError:
+        assume(False)
+    return spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=alpha_specs(), h=st.integers(1, MAX_H), m=st.integers(1, MAX_PHASE_MODULUS),
+       ns=st.lists(st.integers(1, GLOBAL_MAX), min_size=1, max_size=6))
+def test_frac_parts_property_matches_oracle(spec, h, m, ns):
+    assert _worst_phase_error(_alpha(spec), h, ns, m) < PHASE_EPS
 
 
 def test_floors_bulk_matches_exact(sqrt2, golden, poly_sqrt2):

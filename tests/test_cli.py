@@ -7,6 +7,7 @@ from sqfpairs.cli import (
     apply_rule,
     emit_table,
     main,
+    parse_count,
     parse_number_list,
     read_table,
 )
@@ -25,6 +26,31 @@ def test_number_list_scientific_shorthand():
         parse_number_list("1.5")
     with pytest.raises(ConfigError):
         parse_number_list("ten")
+
+
+def test_parse_count_is_exact():
+    assert parse_count("12345678901234567891") == 12345678901234567891
+    assert parse_count("10000000000000001") == 10000000000000001
+    assert parse_count("2.5e6") == 2500000
+    assert parse_count("1000e-3") == 1
+    assert parse_number_list("1e6,1e7,1e8") == (10 ** 6, 10 ** 7, 10 ** 8)
+    for bad in ("1000000000.5", "1e-3", "2.5e0", "", "inf", "nan", "0x10"):
+        with pytest.raises(ConfigError):
+            parse_count(bad)
+
+
+def test_non_integer_n_exits_2(tmp_path):
+    assert run_cli("pairs", "--alpha", "sqrt:2", "--n", "1000000000.5",
+                   "--out", str(tmp_path / "x.csv")) == 2
+
+
+def test_values_beyond_caps_exit_3(tmp_path, capsys):
+    # alpha*N = 1e19 would overflow the int64 floors; 1e999999999 is no float
+    assert run_cli("pairs", "--alpha", "quad:1000000000000000,1,1,2", "--n", "1e4",
+                   "--out", str(tmp_path / "x.csv")) == 3
+    assert "alpha*N" in capsys.readouterr().err
+    assert run_cli("pairs", "--alpha", "sqrt:2", "--n", "1e999999999",
+                   "--out", str(tmp_path / "x.csv")) == 3
 
 
 def test_rules():
@@ -123,6 +149,12 @@ def test_missing_alpha_exits_2(tmp_path):
 def test_budget_violation_exits_3(tmp_path):
     assert run_cli("expsum", "--alpha", "sqrt:2", "--n", "100000",
                    "--budget", "10", "--out", str(tmp_path / "x.csv")) == 3
+
+
+def test_oversized_dyadic_blocks_exit_3(tmp_path):
+    # about 3.3e7 triples against the default budget of 1e6
+    assert run_cli("expsum", "--alpha", "sqrt:2", "--n", "1e6", "--H", "fixed:500000",
+                   "--d", "8", "--t", "8", "--out", str(tmp_path / "x.csv")) == 3
 
 
 def test_unwritable_path_exits_4():

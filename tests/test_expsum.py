@@ -76,6 +76,41 @@ def test_dyadic_budget_enforced(sqrt2):
         dyadic_block_sum(sqrt2, DyadicQuery(4, 2, 2, 10 ** 5), budget=1000)
 
 
+def test_dyadic_budget_counts_exact_work(sqrt2):
+    # 2 triples times pi(1000) = 168 primes, counted over several segments
+    q = DyadicQuery(2, 1, 1, 1000)
+    assert dyadic_block_sum(sqrt2, q, budget=336, segment_cap=100) > 0.0
+    with pytest.raises(BudgetExceededError):
+        dyadic_block_sum(sqrt2, q, budget=335, segment_cap=100)
+
+
+def test_dyadic_budget_refuses_oversized_blocks_up_front(sqrt2, monkeypatch):
+    # 2**25 triples: refused from the range sizes, before any triple is built
+    from sqfpairs import expsum
+
+    def unreachable(q):
+        raise AssertionError(f"triple {q} built before the budget check")
+
+    monkeypatch.setattr(expsum, "_check_query", unreachable)
+    with pytest.raises(BudgetExceededError):
+        dyadic_block_sum(sqrt2, DyadicQuery(2 ** 19, 8, 8, 10 ** 4))
+
+
+def test_dyadic_sieves_once(sqrt2, monkeypatch):
+    from sqfpairs import sieves
+
+    cells = []
+    sieve = sieves.sieve_segment
+
+    def counted(lo, hi, *args, **kwargs):
+        cells.append(hi - lo)
+        return sieve(lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(sieves, "sieve_segment", counted)
+    dyadic_block_sum(sqrt2, DyadicQuery(2, 2, 2, 5000), segment_cap=1024)
+    assert sum(cells) == 5000 - 1
+
+
 def test_dyadic_rejects_blocks_below_one(sqrt2):
     with pytest.raises(InvalidRangeError):
         dyadic_block_sum(sqrt2, DyadicQuery(0.5, 1, 1, 100))
