@@ -48,6 +48,10 @@ _MAX_BITS = 1 << 20
 #: Largest h accepted by frac_parts; its error bound is proven up to here.
 MAX_H = 1 << 20
 
+#: Largest |c0*ck| whose rational-root candidates p/q (p | c0, q | ck) are
+#: enumerated; the trial division costs about sqrt|c0| + sqrt|ck| steps.
+_MAX_ROOT_TEST_PRODUCT = 10 ** 12
+
 #: Dekker's splitting constant 2**27 + 1 for 53-bit doubles.
 _SPLIT = 134217729.0
 
@@ -184,6 +188,9 @@ class AlgebraicAlpha:
             if lo < 0 < hi:
                 raise NotIrrationalError("0 is a rational root inside the interval")
             return
+        if abs(c0 * ck) > _MAX_ROOT_TEST_PRODUCT:
+            raise RangeCapError(f"|c0*ck| = {abs(c0 * ck)} exceeds the rational-root "
+                                f"test's cap {_MAX_ROOT_TEST_PRODUCT}")
         for p in _divisors(c0):
             for q in _divisors(ck):
                 for cand in (Fraction(p, q), Fraction(-p, q)):

@@ -2,13 +2,17 @@
 
 Counts are exact integers throughout; the only floating step is the final
 comparison against the density prediction, so observed convergence can never
-be a rounding artifact.  The heavy loops stream over prime segments and over
-matching squarefree-flag windows, keeping memory bounded by the segment cap.
+be a rounding artifact.  Every count over primes reads one stream of
+(primes, floors) segments whose prime windows are sized from alpha, so that
+each floor window [fl[0], fl[-1] + 2), holding every m = [alpha*p] and m + 1,
+spans at most segment_cap cells: one sieve call covers it, and memory stays
+bounded by the segment cap for every alpha.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -77,16 +81,6 @@ class ErrorTable:
     fitted_exponent: Optional[float]
 
 
-def _sf_window(lo: int, hi: int, segment_cap: int) -> np.ndarray:
-    parts = []
-    cur = lo
-    while cur < hi:
-        top = min(cur + segment_cap, hi)
-        parts.append(squarefree_flags(cur, top, segment_cap))
-        cur = top
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 def _check_n(alpha: AlgebraicAlpha, N: int) -> None:
     """N >= 2, and floors [alpha*p] for p <= N within the sieves' range."""
     if N < 2:
@@ -94,6 +88,22 @@ def _check_n(alpha: AlgebraicAlpha, N: int) -> None:
     top = alpha.to_float() * N
     if top > GLOBAL_MAX:
         raise RangeCapError(f"alpha*N = {top:.6g} exceeds global maximum {GLOBAL_MAX}")
+
+
+def _prime_floors(alpha: AlgebraicAlpha, N: int, segment_cap: int):
+    """(primes, floors) per segment of the primes p <= N; checks run at the call.
+
+    With A = [alpha * 2**32], alpha < (A + 1) / 2**32.  Primes of one window
+    differ by at most w - 1, so the floor window [fl[0], fl[-1] + 2) has fewer
+    than alpha*(w - 1) + 3 <= segment_cap cells; w = 1 gives 2 cells.
+    """
+    _check_n(alpha, N)
+    if segment_cap < 2:
+        raise ConfigError("segment cap must be at least 2")
+    A = alpha.scaled_floor_bits(32)
+    w = max(1, min(segment_cap, ((segment_cap - 3) << 32) // (A + 1) + 1))
+    return ((ps, alpha.floors_bulk(ps))
+            for ps in iter_prime_segments(2, N + 1, w) if ps.size)
 
 
 def carlitz_count(N: int, segment_cap: int = DEFAULT_SEGMENT_CAP) -> int:
@@ -106,23 +116,18 @@ def carlitz_count(N: int, segment_cap: int = DEFAULT_SEGMENT_CAP) -> int:
     cur = 1
     while cur <= N:
         top = min(cur + segment_cap - 1, N + 1)
-        flags = _sf_window(cur, top + 1, segment_cap)
+        flags = squarefree_flags(cur, top + 1, segment_cap)
         count += int(np.count_nonzero(flags[:-1] & flags[1:]))
         cur = top
     return count
 
 
 def _count_over_primes(alpha: AlgebraicAlpha, N: int, pair: bool, segment_cap: int):
-    _check_n(alpha, N)
-    count = 0
-    pi_n = 0
-    for ps in iter_prime_segments(2, N + 1, segment_cap):
-        if not ps.size:
-            continue
+    count = pi_n = 0
+    for ps, fl in _prime_floors(alpha, N, segment_cap):
         pi_n += int(ps.size)
-        fl = alpha.floors_bulk(ps)
         lo = int(fl[0])
-        flags = _sf_window(lo, int(fl[-1]) + 2, segment_cap)
+        flags = squarefree_flags(lo, int(fl[-1]) + 2, segment_cap)
         idx = fl - lo
         hit = flags[idx] & flags[idx + 1] if pair else flags[idx]
         count += int(np.count_nonzero(hit))
@@ -168,23 +173,25 @@ def congruence_pair_count(alpha: AlgebraicAlpha, N: int, d: int, t: int,
         raise InvalidRangeError(f"need d, t >= 1, got d={d}, t={t}")
     if math.gcd(d, t) != 1:
         raise NotCoprimeError(f"gcd({d}, {t}) != 1")
-    _check_n(alpha, N)
     d2 = d * d
     t2 = t * t
     count = 0
-    for ps in iter_prime_segments(2, N + 1, segment_cap):
-        if not ps.size:
-            continue
-        fl = alpha.floors_bulk(ps)
+    for _, fl in _prime_floors(alpha, N, segment_cap):
         count += int(np.count_nonzero((fl % d2 == 0) & ((fl + 1) % t2 == 0)))
     return count
 
 
-def _square_divisors(primes: Sequence[int]):
-    """All (d, mu(d)) with d squarefree over the given primes (d^2 dividing the target)."""
+def _square_divisors(r: int):
+    """All (d, mu(d)) with d | r, for squarefree r; r is factored by trial division."""
     divs = [(1, 1)]
-    for p in primes:
-        divs += [(d * p, -s) for d, s in divs]
+    p = 2
+    while p * p <= r:
+        if r % p == 0:
+            divs += [(d * p, -s) for d, s in divs]
+            r //= p
+        p += 1
+    if r > 1:
+        divs += [(d * r, -s) for d, s in divs]
     return divs
 
 
@@ -197,46 +204,45 @@ def decompose(alpha: AlgebraicAlpha, N: int, z: float,
     (coprimality of (d, t) is automatic since gcd(m, m+1) = 1), so
     sigma1 + sigma2 equals the pair count exactly for every split point.
 
+    Those sums depend on m only through its class (R, S): R is the product of
+    the primes whose square divides m, S the same for m+1.  Each segment of
+    the prime stream sieves R over its floor window, the primes are grouped
+    by class, and each class is expanded once, weighted by its prime count.
+
     z may sit anywhere in [1, (alpha*N)^(2/3)]; values below 2 are outside
     the regime of the asymptotic analysis but leave the identity intact.
     The rare primes with [alpha*p] = 0 (possible only for alpha < 1/2) are
     skipped, matching the convention that 0 is not squarefree.
     """
-    _check_n(alpha, N)
+    stream = _prime_floors(alpha, N, segment_cap)
     z_cap = (alpha.to_float() * N) ** (2.0 / 3.0) * (1.0 + 1e-9)
     if not 1.0 <= z <= z_cap:
         raise ConfigError(f"z={z} outside [1, (alpha*N)^(2/3)] = [1, {z_cap:.6g}]")
 
-    floors_parts = []
-    for ps in iter_prime_segments(2, N + 1, segment_cap):
-        if ps.size:
-            floors_parts.append(alpha.floors_bulk(ps))
-    if not floors_parts:
-        raise InvalidRangeError(f"no primes up to N={N}")
-    fl = np.concatenate(floors_parts)
-    fl = fl[fl > 0]
-    if not fl.size:
-        return DecompositionReport(N=N, z=z, sigma1=0, sigma2=0, total=0)
-
-    max_val = int(fl[-1]) + 1
-    sq_lo = [[] for _ in range(fl.size)]
-    sq_hi = [[] for _ in range(fl.size)]
-    fl1 = fl + 1
-    for p in base_primes(math.isqrt(max_val)).tolist():
-        q = p * p
-        for store, arr in ((sq_lo, fl), (sq_hi, fl1)):
-            for i in np.nonzero(arr % q == 0)[0].tolist():
-                store[i].append(p)
+    classes = Counter()
+    for _, fl in stream:
+        fl = fl[fl > 0]
+        if not fl.size:
+            continue
+        lo = int(fl[0])
+        hi = int(fl[-1]) + 2
+        # R^2 divides m <= GLOBAL_MAX = 2**52, so R <= 2**26 fits int32
+        rad = np.ones(hi - lo, dtype=np.int32)
+        for p in base_primes(math.isqrt(hi - 1)).tolist():
+            q = p * p
+            rad[(-lo) % q:: q] *= p
+        idx = fl - lo
+        classes.update(zip(rad[idx].tolist(), rad[idx + 1].tolist()))
 
     sigma1 = 0
     sigma2 = 0
-    for i in range(fl.size):
-        for d, sd in _square_divisors(sq_lo[i]):
-            for t, st in _square_divisors(sq_hi[i]):
+    for (r, s), c in classes.items():
+        for d, sd in _square_divisors(r):
+            for t, st in _square_divisors(s):
                 if d * t <= z:
-                    sigma1 += sd * st
+                    sigma1 += c * sd * st
                 else:
-                    sigma2 += sd * st
+                    sigma2 += c * sd * st
     return DecompositionReport(N=N, z=z, sigma1=sigma1, sigma2=sigma2,
                                total=sigma1 + sigma2)
 

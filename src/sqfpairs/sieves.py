@@ -121,24 +121,17 @@ def sieve_segment(
     if "mu" in wanted:
         sign = np.ones(n, dtype=np.int8)
         prod = np.ones(n, dtype=np.int64)
-        squarefull = np.zeros(n, dtype=bool)
-        # value 0 (a multiple of every p*p) ends up squarefull, hence mu=0,
-        # so its garbage sign/prod entries are never read.
         for p in bps.tolist():
             start = _first_multiple(lo, p)
             if start < hi:
                 sl = slice(start - lo, n, p)
                 sign[sl] = -sign[sl]
                 prod[sl] *= p
-            q = p * p
-            start = _first_multiple(lo, q)
-            if start < hi:
-                squarefull[start - lo:: q] = True
-        leftover = (values != prod) & ~squarefull
+        # value 0 is not squarefree, so its garbage sign/prod entries are never read
+        squarefree = squarefree_flags(lo, hi, segment_cap)
+        leftover = (values != prod) & squarefree
         sign[leftover] = -sign[leftover]
-        mu = np.where(squarefull, np.int8(0), sign)
-        if lo == 0:
-            mu[0] = 0
+        mu = np.where(squarefree, sign, np.int8(0))
 
     if "tau" in wanted:
         tau = np.ones(n, dtype=np.int64)
@@ -174,9 +167,8 @@ def sieve_segment(
 def squarefree_flags(lo: int, hi: int, segment_cap: int = DEFAULT_SEGMENT_CAP) -> np.ndarray:
     """Boolean array over [lo, hi): True where the value is squarefree.
 
-    Equivalent to mu != 0 from sieve_segment but cheaper (no sign tracking),
-    which matters for the large counting experiments.  Value 0 is not
-    squarefree by convention.
+    The package's one squarefree sieve: the mu channel of sieve_segment
+    takes its zeros from here.  Value 0 is not squarefree by convention.
     """
     _check_window(lo, hi, segment_cap)
     n = hi - lo

@@ -259,6 +259,23 @@ def test_frac_parts_property_matches_oracle(spec, h, m, ns):
     assert _worst_phase_error(_alpha(spec), h, ns, m) < PHASE_EPS
 
 
+@settings(max_examples=200, deadline=None)
+@given(spec=alpha_specs(), data=st.data())
+def test_floors_bulk_property_matches_floor_times(spec, data):
+    alpha = _alpha(spec)
+    top = GLOBAL_MAX // (math.ceil(alpha.to_float()) + 1)
+    ns = data.draw(st.lists(st.integers(0, top), max_size=8))
+    assert alpha.floors_bulk(ns).tolist() == [alpha.floor_times(n) for n in ns]
+
+
+def test_huge_poly_coefficients_are_refused_before_the_root_test():
+    # the rational-root test would trial-divide up to sqrt(1e20) = 1e10
+    with pytest.raises(RangeCapError):
+        parse_alpha(f"poly:{-10 ** 20},0,0,1@1/1,{10 ** 7}/1")
+    with pytest.raises(RangeCapError):
+        parse_alpha(f"poly:-3,0,0,{10 ** 13}@0/1,1/1")
+
+
 def test_floors_bulk_matches_exact(sqrt2, golden, poly_sqrt2):
     import numpy as np
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -155,6 +156,14 @@ def test_oversized_dyadic_blocks_exit_3(tmp_path):
     # about 3.3e7 triples against the default budget of 1e6
     assert run_cli("expsum", "--alpha", "sqrt:2", "--n", "1e6", "--H", "fixed:500000",
                    "--d", "8", "--t", "8", "--out", str(tmp_path / "x.csv")) == 3
+
+
+def test_huge_poly_constant_term_exits_3_promptly(tmp_path, capsys):
+    start = time.perf_counter()
+    assert run_cli("pairs", "--alpha", f"poly:{-10 ** 20},0,0,1@1/1,{10 ** 7}/1",
+                   "--n", "100", "--out", str(tmp_path / "x.csv")) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "rational-root" in capsys.readouterr().err
 
 
 def test_unwritable_path_exits_4():

@@ -1,6 +1,10 @@
+import functools
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from sqfpairs import (
@@ -10,10 +14,13 @@ from sqfpairs import (
     decompose,
     error_table,
     pair_count,
+    parse_alpha,
     prime_count,
     single_count,
 )
+from sqfpairs.counting import sigma_midpoint
 from sqfpairs.errors import ConfigError, InvalidRangeError, NotCoprimeError
+from sqfpairs.sieves import base_primes
 
 
 def test_carlitz_examples():
@@ -164,3 +171,65 @@ def test_error_table_preconditions(sqrt2):
         error_table(sqrt2, [50, 1000, 10000])
     with pytest.raises(InvalidRangeError):
         error_table(sqrt2, [1000, 1000, 10000])
+
+
+@functools.lru_cache(maxsize=None)
+def _alpha(spec):
+    return parse_alpha(spec)
+
+
+@st.composite
+def small_alpha_specs(draw):
+    """sqrt and quad specs with alpha below about 1000, plus one cubic root."""
+    kind = draw(st.sampled_from(("sqrt", "quad", "poly")))
+    if kind == "poly":
+        return "poly:-30000,0,0,1@31/1,32/1"
+    D = draw(st.integers(2, 1000))
+    assume(math.isqrt(D) ** 2 != D)
+    if kind == "sqrt":
+        return f"sqrt:{D}"
+    a = draw(st.integers(-30, 30))
+    b = draw(st.integers(-30, 30).filter(bool))
+    c = draw(st.integers(1, 30))
+    spec = f"quad:{a},{b},{c},{D}"
+    try:
+        _alpha(spec)
+    except ConfigError:
+        assume(False)
+    return spec
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=small_alpha_specs(), N=st.integers(2, 3000), cap=st.integers(2, 4096),
+       d=st.integers(1, 6), t=st.integers(1, 6), z_frac=st.floats(0.0, 1.0))
+def test_counts_do_not_depend_on_segment_cap(spec, N, cap, d, t, z_frac):
+    assume(math.gcd(d, t) == 1)
+    alpha = _alpha(spec)
+    pair = pair_count(alpha, N, cap)
+    assert pair == pair_count(alpha, N)
+    assert single_count(alpha, N, cap) == single_count(alpha, N)
+    assert congruence_pair_count(alpha, N, d, t, cap) == congruence_pair_count(alpha, N, d, t)
+    z_top = (alpha.to_float() * N) ** (2.0 / 3.0)
+    if z_top >= 1.0:
+        z = 1.0 + z_frac * (z_top - 1.0)
+        rep = decompose(alpha, N, z, cap)
+        whole = decompose(alpha, N, z)
+        assert (rep.sigma1, rep.sigma2) == (whole.sigma1, whole.sigma2)
+        assert rep.total == pair.count
+
+
+def test_pair_count_memory_is_bounded_by_segment_cap():
+    # alpha ~ 1000: a prime segment of segment_cap values would need a flag
+    # window a thousand times the cap
+    alpha = parse_alpha("sqrt:999999")
+    cap = 2 ** 14
+    base_primes(math.isqrt(1000 * 5000) + 1)  # fill the shared caches first
+    sigma_midpoint()
+    tracemalloc.start()
+    try:
+        rep = pair_count(alpha, 5000, segment_cap=cap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep == pair_count(alpha, 5000)
+    assert peak < 16 * cap, peak
