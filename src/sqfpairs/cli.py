@@ -103,7 +103,10 @@ def apply_rule(rule: str, N: int) -> float:
     except ValueError:
         raise ConfigError(f"bad rule argument in {rule!r}") from None
     if kind == "pow":
-        return float(N) ** val
+        try:
+            return float(N) ** val
+        except (OverflowError, ZeroDivisionError):
+            raise ConfigError(f"{rule!r} at N={N} is no finite number") from None
     if kind == "fixed":
         return val
     raise ConfigError(f"unknown rule kind in {rule!r} (want pow: or fixed:)")

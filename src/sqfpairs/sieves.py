@@ -6,6 +6,14 @@ concatenated. Base primes up to sqrt(hi) are cached at module level and only
 regrown when a larger window is requested; the cache grows monotonically and
 updates are idempotent, so concurrent readers are safe.
 
+The prime channel sieves odd values only: one bool cell per odd value of
+[lo, hi), cell j standing for (lo | 1) + 2j.  Each base prime p >= 3 strikes
+every p-th cell from its first odd multiple >= max(p*p, lo); 2 is set by
+hand and 1 is cleared.  The cells are then spread into the positional
+is_prime array, so a prime-only window costs 1.5 bytes a value and never
+builds the int64 array of its values, which only the mu and tau channels
+read.
+
 Convention cells: value 0 carries mu=0, tau=0, not prime, not squarefree;
 value 1 carries mu=1, tau=1, not prime, squarefree.
 """
@@ -105,18 +113,26 @@ def sieve_segment(
     n = hi - lo
     root = math.isqrt(hi - 1)
     bps = base_primes(root)
-    values = np.arange(lo, hi, dtype=np.int64)
+    if wanted & {"mu", "tau"}:
+        values = np.arange(lo, hi, dtype=np.int64)
 
     mu = is_prime = tau = None
 
     if "prime" in wanted:
-        composite = np.zeros(n, dtype=bool)
-        for p in bps.tolist():
+        first_odd = lo | 1
+        odd = np.ones((hi - first_odd + 1) // 2, dtype=bool)
+        for p in bps[1:].tolist():
             start = max(p * p, _first_multiple(lo, p))
+            if not start & 1:
+                start += p
             if start < hi:
-                composite[start - lo:: p] = True
-        is_prime = ~composite
-        is_prime[values < 2] = False
+                odd[(start - first_odd) >> 1:: p] = False
+        if first_odd == 1 and odd.size:
+            odd[0] = False
+        is_prime = np.zeros(n, dtype=bool)
+        is_prime[first_odd - lo:: 2] = odd
+        if lo <= 2 < hi:
+            is_prime[2 - lo] = True
 
     if "mu" in wanted:
         sign = np.ones(n, dtype=np.int8)

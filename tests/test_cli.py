@@ -158,6 +158,17 @@ def test_oversized_dyadic_blocks_exit_3(tmp_path):
                    "--d", "8", "--t", "8", "--out", str(tmp_path / "x.csv")) == 3
 
 
+def test_bad_dyadic_h_rules_exit_2_or_3(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    for rule in ("pow:nan", "fixed:nan", "fixed:inf", "fixed:-inf", "pow:inf", "pow:1e10"):
+        assert run_cli("expsum", "--alpha", "sqrt:2", "--n", "1000", "--H", rule,
+                       "--out", out) == 2, rule
+    for rule in ("fixed:1e300", "fixed:1.7e308"):
+        assert run_cli("expsum", "--alpha", "sqrt:2", "--n", "1000", "--H", rule,
+                       "--out", out) == 3, rule
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_huge_poly_constant_term_exits_3_promptly(tmp_path, capsys):
     start = time.perf_counter()
     assert run_cli("pairs", "--alpha", f"poly:{-10 ** 20},0,0,1@1/1,{10 ** 7}/1",

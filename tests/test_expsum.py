@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from sqfpairs import (
     exp_sum_primes,
     dyadic_bound_rhs,
     prime_count,
+    primes_in,
     ratio_scan,
     star_discrepancy,
 )
@@ -114,6 +116,43 @@ def test_dyadic_sieves_once(sqrt2, monkeypatch):
 def test_dyadic_rejects_blocks_below_one(sqrt2):
     with pytest.raises(InvalidRangeError):
         dyadic_block_sum(sqrt2, DyadicQuery(0.5, 1, 1, 100))
+
+
+def test_dyadic_rejects_non_finite_blocks(sqrt2):
+    for H in (math.nan, math.inf, -math.inf):
+        q = DyadicQuery(H, 1, 1, 100)
+        with pytest.raises(InvalidRangeError):
+            dyadic_block_sum(sqrt2, q)
+        with pytest.raises(InvalidRangeError):
+            dyadic_bound_rhs(q, 0.01)
+    with pytest.raises(InvalidRangeError):
+        dyadic_block_sum(sqrt2, DyadicQuery(2, 1, math.nan, 100))
+
+
+def test_dyadic_triples_counted_exactly_for_huge_blocks(sqrt2):
+    # 2x overflows a float here; the count of (x, 2x] is still exact
+    for H in (1e300, 1.7e308):
+        with pytest.raises(BudgetExceededError):
+            dyadic_block_sum(sqrt2, DyadicQuery(H, 1, 1, 100))
+
+
+def test_phase_sum_memory_stays_in_small_chunks(sqrt2):
+    from sqfpairs.expsum import _phase_sum
+
+    ps = primes_in(2, 1_300_000)[:10 ** 5]
+    assert ps.size == 10 ** 5
+    sqrt2.frac_parts(3, ps[:1], 4)  # warm the cached 128-bit alpha
+    tracemalloc.start()
+    try:
+        chunked = _phase_sum(sqrt2, 3, ps, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024, peak
+    # summation order differs from one numpy reduction over the segment; both
+    # err by under log2(n) * 2**-53 per unit term, far below 1e-14 * n
+    whole = complex(np.exp(2j * np.pi * sqrt2.frac_parts(3, ps, 4)).sum())
+    assert abs(chunked - whole) < 1e-14 * ps.size
 
 
 def test_dyadic_bound_rhs_all_ones():

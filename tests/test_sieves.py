@@ -1,8 +1,14 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from sqfpairs import crt_residue, prime_count, primes_in, sieve_segment, squarefree_flags
+from sqfpairs.sieves import base_primes
 from sqfpairs.errors import (
     ConfigError,
     InvalidRangeError,
@@ -147,3 +153,49 @@ def test_large_offset_segment_self_consistent():
     assert np.array_equal(seg.mu != 0, sf)
     # every prime is squarefree with mu = -1
     assert np.all(seg.mu[seg.is_prime] == -1)
+
+
+def _assert_prime_channel_matches_tau(lo, hi):
+    seg = sieve_segment(lo, hi, {"prime", "tau"})
+    assert np.array_equal(seg.is_prime, seg.tau == 2), (lo, hi)
+    assert np.array_equal(sieve_segment(lo, hi, {"prime"}).is_prime, seg.is_prime)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.one_of(st.integers(0, 3), st.integers(0, 2 * 10 ** 6)),
+       width=st.one_of(st.just(1), st.integers(1, 5000)))
+def test_prime_channel_matches_tau_property(lo, width):
+    # both parities of lo and hi, the cells 0..3 and windows of width 1
+    _assert_prime_channel_matches_tau(lo, lo + width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from(base_primes(1414).tolist()), end=st.integers(-2, 2),
+       width=st.integers(1, 5000))
+def test_prime_channel_near_prime_squares(p, end, width):
+    # windows ending just before, at or just after p*p, the first cell p strikes
+    hi = p * p + end
+    _assert_prime_channel_matches_tau(max(0, hi - width), hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lo=st.integers(0, 10 ** 6), width=st.integers(1, 3000),
+       cuts=st.lists(st.integers(1, 2999), max_size=6), cap=st.integers(2, 64))
+def test_primes_in_concatenates_at_any_cut(lo, width, cuts, cap):
+    hi = lo + width
+    bounds = sorted({lo, hi, *(lo + c for c in cuts if c < width)})
+    pieces = np.concatenate([primes_in(a, b, cap) for a, b in zip(bounds, bounds[1:])])
+    assert pieces.tolist() == [n for n in range(lo, hi) if oracles.is_prime(n)]
+
+
+def test_prime_only_window_allocates_no_int64_array():
+    n = 1 << 20
+    lo = 10 ** 9 + 1
+    base_primes(math.isqrt(lo + n))  # grow the shared cache outside the trace
+    tracemalloc.start()
+    try:
+        sieve_segment(lo, lo + n, {"prime"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n, peak
