@@ -260,9 +260,12 @@ def _run_expsum(cfg: ExperimentConfig) -> None:
                          "real": s.real, "imag": s.imag, "modulus": abs(s)})
         emit_table(rows, cfg.output_format, cfg.output_path, COLUMNS["expsum_single"])
         return
+    try:
+        D, T = float(cfg.d), float(cfg.t)
+    except OverflowError:
+        raise RangeCapError(f"--d and --t must be at most {sys.float_info.max:.6g}") from None
     for n in _need_n(cfg):
-        q = expsum.DyadicQuery(H=apply_rule(cfg.h_rule, n), D=float(cfg.d),
-                               T=float(cfg.t), N=n)
+        q = expsum.DyadicQuery(H=apply_rule(cfg.h_rule, n), D=D, T=T, N=n)
         rep = expsum.dyadic_bound_rhs(q, DYADIC_EPS)
         lhs = expsum.dyadic_block_sum(alpha, q, cfg.budget, cfg.segment_cap)
         t1, t2, t3, t4 = rep.rhs_terms

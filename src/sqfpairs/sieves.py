@@ -14,6 +14,14 @@ is_prime array, so a prime-only window costs 1.5 bytes a value and never
 builds the int64 array of its values, which only the mu and tau channels
 read.
 
+Squarefree flags start from a wheel: a fixed two-period pattern of the
+multiples of 4, 9, 25 and 49 (period 44100, 88 KB) is copied into each
+cache-sized block of the window and doubled in place, and the squares of
+11..59 are struck while the block is still in cache.  Squares up to the
+window width then strike one slice each, and the larger squares, each of
+which hits the window at most once, are struck with one vectorised scatter.
+No pattern the size of the segment cap is kept.
+
 Convention cells: value 0 carries mu=0, tau=0, not prime, not squarefree;
 value 1 carries mu=1, tau=1, not prime, squarefree.
 """
@@ -44,6 +52,23 @@ CHANNELS = frozenset({"mu", "prime", "tau"})
 
 _base_primes = np.array([2, 3], dtype=np.int64)
 _base_limit = 3
+
+
+#: Period of the squarefree wheel: the cells it strikes are the multiples of 4, 9, 25, 49.
+_WHEEL_PERIOD = 4 * 9 * 25 * 49
+
+#: Two wheel periods (88 KB), so any phase has a full period after it.
+_WHEEL = np.ones(2 * _WHEEL_PERIOD, dtype=bool)
+for _q in (4, 9, 25, 49):
+    _WHEEL[::_q] = False
+_WHEEL.flags.writeable = False
+del _q
+
+#: Cells per wheel-fill block: the block stays in L2 while the small squares strike it.
+_SQF_BLOCK = 1 << 19
+
+#: The squares of the primes 11..59, struck block by block.
+_BLOCK_SQUARES = tuple(p * p for p in (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59))
 
 
 def base_primes(limit: int) -> np.ndarray:
@@ -185,17 +210,49 @@ def squarefree_flags(lo: int, hi: int, segment_cap: int = DEFAULT_SEGMENT_CAP) -
 
     The package's one squarefree sieve: the mu channel of sieve_segment
     takes its zeros from here.  Value 0 is not squarefree by convention.
+
+    Three passes over one bool array:
+
+    1. Wheel fill, block by block (_SQF_BLOCK cells): copy one period of
+       the wheel from the phase (lo + b) mod 44100, double it in place by
+       slice copies (the copied length stays a multiple of the period), then
+       strike the squares of 11..59 while the block is in cache.
+    2. Each square q = p*p with 59 < p and q <= hi - lo strikes every q-th
+       cell of the whole window with one slice.
+    3. A larger square has at most one multiple in the window, at offset
+       (-lo) mod q; all of those below hi - lo are struck with one scatter.
+
+    The flags stay exact: every pass only clears cells whose value a prime
+    square divides (the wheel clears the multiples of 4, 9, 25, 49, and
+    value 0 with them), and together the passes clear the multiples of
+    p*p for every prime p <= sqrt(hi - 1).  A value with no such divisor
+    is squarefree, since any square factor p*p of a value below hi has
+    p <= sqrt(hi - 1).
     """
     _check_window(lo, hi, segment_cap)
     n = hi - lo
-    flags = np.ones(n, dtype=bool)
-    for p in base_primes(math.isqrt(hi - 1)).tolist():
-        q = p * p
-        start = _first_multiple(lo, q)
-        if start < hi:
-            flags[start - lo:: q] = False
-    if lo == 0:
-        flags[0] = False
+    flags = np.empty(n, dtype=bool)
+    for b in range(0, n, _SQF_BLOCK):
+        e = min(b + _SQF_BLOCK, n)
+        done = min(_WHEEL_PERIOD, e - b)
+        phase = (lo + b) % _WHEEL_PERIOD
+        flags[b:b + done] = _WHEEL[phase:phase + done]
+        while b + done < e:
+            k = min(done, e - b - done)
+            flags[b + done:b + done + k] = flags[b:b + k]
+            done += k
+        for q in _BLOCK_SQUARES:
+            start = b + (-(lo + b)) % q
+            if start < e:
+                flags[start:e:q] = False
+    qs = base_primes(math.isqrt(hi - 1)) ** 2
+    qs = qs[int(np.searchsorted(qs, _BLOCK_SQUARES[-1], side="right")):]
+    offsets = (-lo) % qs
+    split = int(np.searchsorted(qs, n, side="right"))
+    for q, start in zip(qs[:split].tolist(), offsets[:split].tolist()):
+        flags[start::q] = False
+    single = offsets[split:]
+    flags[single[single < n]] = False
     return flags
 
 

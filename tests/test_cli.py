@@ -169,6 +169,17 @@ def test_bad_dyadic_h_rules_exit_2_or_3(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_dyadic_d_t_beyond_float_range_exit_3(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    huge = "1" + "0" * 400
+    for flag in ("--d", "--t"):
+        for value in (huge, "-" + huge):
+            assert run_cli("expsum", "--alpha", "sqrt:2", "--n", "1000", flag, value,
+                           "--out", out) == 3, (flag, value[:2])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "--d and --t must be at most" in err
+
+
 def test_huge_poly_constant_term_exits_3_promptly(tmp_path, capsys):
     start = time.perf_counter()
     assert run_cli("pairs", "--alpha", f"poly:{-10 ** 20},0,0,1@1/1,{10 ** 7}/1",

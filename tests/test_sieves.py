@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import oracles
 from sqfpairs import crt_residue, prime_count, primes_in, sieve_segment, squarefree_flags
-from sqfpairs.sieves import base_primes
+from sqfpairs import sieves
+from sqfpairs.sieves import _SQF_BLOCK, _WHEEL_PERIOD, base_primes
 from sqfpairs.errors import (
     ConfigError,
     InvalidRangeError,
@@ -199,3 +200,80 @@ def test_prime_only_window_allocates_no_int64_array():
     finally:
         tracemalloc.stop()
     assert peak < 3 * n, peak
+
+
+def _slice_per_square(lo, hi):
+    # reference: one slice per prime square over the whole window, no wheel
+    flags = np.ones(hi - lo, dtype=bool)
+    for p in oracles.primes_to(math.isqrt(hi - 1)):
+        q = p * p
+        flags[-lo % q:: q] = False
+    if lo == 0:
+        flags[0] = False
+    return flags
+
+
+def _assert_squarefree_window(lo, hi, cells):
+    flags = squarefree_flags(lo, hi)
+    for i in cells:
+        assert bool(flags[i]) == oracles.squarefree(lo + i), (lo, hi, i)
+    assert np.array_equal(sieve_segment(lo, hi, {"mu"}).mu != 0, flags), (lo, hi)
+    return flags
+
+
+def _near(base, k_max):
+    return st.builds(lambda k, d: max(0, k * base + d), st.integers(0, k_max), st.integers(-3, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lo=st.one_of(st.integers(0, 3), _near(_WHEEL_PERIOD, 200), _near(_SQF_BLOCK, 16),
+                    st.integers(0, 10 ** 7)),
+       width=st.one_of(st.integers(1, 3000),
+                       st.builds(lambda w, d: w + d,
+                                 st.sampled_from([_WHEEL_PERIOD, 2 * _WHEEL_PERIOD,
+                                                  _SQF_BLOCK, 2 * _SQF_BLOCK]),
+                                 st.integers(-3, 3))))
+def test_squarefree_flags_match_oracle_property(lo, width):
+    # windows starting at 0..3 or next to a wheel period or block edge, widths
+    # on either side of one or two periods or blocks; the oracle checks every
+    # cell of a narrow window and the cells around each edge of a wide one
+    hi = lo + width
+    if width <= 3000:
+        cells = range(width)
+    else:
+        edges = [0, width, *range(0, width, _SQF_BLOCK),
+                 *range(-lo % _WHEEL_PERIOD, width, _WHEEL_PERIOD)]
+        cells = sorted({i for e in edges for i in range(e - 3, e + 3) if 0 <= i < width})
+    flags = _assert_squarefree_window(lo, hi, cells)
+    assert np.array_equal(flags, _slice_per_square(lo, hi)), (lo, hi)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.sampled_from([p for p in base_primes(math.isqrt(10 ** 11)).tolist() if p > 59]),
+       off=st.integers(0, 3), width=st.integers(1, 4))
+def test_squarefree_flags_far_windows_single_hit_squares(p, off, width):
+    # lo near 1e11 and a short window: every square above 59**2 takes the
+    # single-hit scatter, and the window sits next to a multiple of p*p
+    q = p * p
+    lo = (10 ** 11 // q) * q - off
+    flags = _assert_squarefree_window(lo, lo + width, range(width))
+    if off < width:
+        assert not flags[off]
+
+
+def test_squarefree_flags_memory_stays_near_one_byte_a_cell():
+    n = 1 << 22
+    lo = 10 ** 9 + 7
+    base_primes(math.isqrt(lo + n))  # grow the shared cache outside the trace
+    tracemalloc.start()
+    try:
+        squarefree_flags(lo, lo + n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n, peak
+    # no cached pattern the size of a segment; the base-prime cache grows
+    # with sqrt(hi), not with the window
+    for name, value in vars(sieves).items():
+        if isinstance(value, np.ndarray) and name != "_base_primes":
+            assert value.nbytes <= 2 * _WHEEL_PERIOD, (name, value.nbytes)
