@@ -362,17 +362,49 @@ class AlgebraicAlpha:
     def floors_bulk(self, ns) -> np.ndarray:
         """[alpha * n] for an array of n >= 0; exact despite the float fast path.
 
-        Float candidates are kept only when the computed point is safely away
-        from an integer boundary; the rare suspects fall back to the exact
-        per-element floor.
+        With v = fl(alpha) and r = fl(n*v), a float floor(r) is kept only when
+        the fraction fr = r - floor(r) sits safely away from 0 and 1; the rare
+        suspects fall back to the exact per-element floor_times.  Empty input
+        gives an empty array; a negative n raises InvalidRangeError, as in
+        floor_times.
+
+        The margin M = fl(256*spacing(R) + 1e-15), R = max r, is one scalar
+        for the whole array, and a point is a suspect when
+        |fl(fr - 0.5)| >= fl(0.5 - M).  This suspect set contains the one of
+        the per-point margins m = fl(256*spacing(r) + 1e-15) with the test
+        fr < m or fr > fl(1 - m), which keeps the float floor only where
+        it is exact:
+
+        * 0 <= r <= R (n >= 0, v > 0) and spacing is monotone in |r|, so
+          256*spacing(r) + 1e-15 <= 256*spacing(R) + 1e-15 as reals (each
+          256*spacing is an exact power of two), and rounding to nearest is
+          monotone: m <= M.
+        * If M > 1/2, fl(0.5 - M) <= 0 and every point is a suspect.
+          Otherwise the two tests below compare rounded values, so both use
+          that rounding is monotone and symmetric, fl(-x) = -fl(x).
+        * fr < m: fr - 0.5 < M - 0.5 <= 0, so fl(fr - 0.5) <= fl(M - 0.5)
+          = -fl(0.5 - M) <= 0, hence |fl(fr - 0.5)| >= fl(0.5 - M).
+        * fr > fl(1 - m): here 1 - m lies in [1/2, 1), where doubles are
+          multiples of 2**-53, and fr is one of those too (r - floor(r) is
+          exact).  So fr >= fl(1 - m) + 2**-53 > 1 - m >= 1 - M, since
+          fl(1 - m) is within half a unit (2**-54) of 1 - m.  The difference
+          g = fr - 0.5 is exact (Sterbenz: fr in [1/2, 1)) and g > 0.5 - M,
+          so g = fl(g) >= fl(0.5 - M).
+
+        No ulp of widening is needed.  floor(r) stays a float until the
+        final cast; floats below 2**53 convert exactly.
         """
         ns = np.asarray(ns, dtype=np.int64)
-        vf = self.to_float()
-        r = ns * vf
-        floors = np.floor(r).astype(np.int64)
-        fr = r - floors
-        margin = 256.0 * np.spacing(r) + 1e-15
-        suspects = np.nonzero((fr < margin) | (fr > 1.0 - margin))[0]
+        if ns.size and ns.min() < 0:
+            raise InvalidRangeError(f"floors_bulk needs n >= 0, got {ns.min()}")
+        r = ns * self.to_float()
+        fl = np.floor(r)
+        fr = r - fl
+        margin = 256.0 * np.spacing(r.max(initial=0.0)) + 1e-15
+        fr -= 0.5
+        np.abs(fr, out=fr)
+        suspects = np.flatnonzero(fr >= 0.5 - margin)
+        floors = fl.astype(np.int64)
         for i in suspects.tolist():
             floors[i] = self.floor_times(int(ns[i]))
         return floors

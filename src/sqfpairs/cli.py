@@ -5,8 +5,8 @@ only, so outputs are pipeline-safe.  Identical configurations produce
 byte-identical files: floats are printed at 15 significant digits, there are
 no timestamps, and every computation below is deterministic.
 
-Exit codes: 0 success, 2 configuration error, 3 budget/cap violation,
-4 output I/O failure.
+Exit codes: 0 success, 2 configuration error, 3 budget/cap violation
+(out of memory included), 4 output I/O failure.
 """
 
 from __future__ import annotations
@@ -400,6 +400,10 @@ def main(argv=None) -> int:
         return 2
     except CapError as exc:
         print(f"cap/budget error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("cap/budget error: out of memory; a lower --segment-cap bounds the "
+              "memory of each sieve window", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)

@@ -66,18 +66,30 @@ def sigma_enclosure(P: int) -> Enclosure:
     Finite product over p <= P in directed-rounded log space, plus a certified
     tail: with x = 2/p^2, -x/(1-x) <= log(1-x) <= -x and
     Sum_{p > P} 1/p^2 < 1/(P-1).  Width shrinks as P grows.
+
+    Per prime the float operations and their order are fixed: x = 2.0/(p*p)
+    with p*p rounded once to float; the terms log1p(-up(x)) nudged down
+    twice and log1p(-dn(x)) nudged up twice; each partial sum nudged outward
+    once.  Each segment of primes evaluates x, the nudges and math.log1p
+    array-wide and keeps only the two running sums sequential, which gives
+    the same bits as the per-prime scalar loop.
     """
     if P < 3:
         raise InvalidRangeError(f"need P >= 3, got P={P}")
     lo_sum = 0.0
     hi_sum = 0.0
+    nextafter = math.nextafter
     for seg in iter_prime_segments(2, P + 1):
-        for p in seg.tolist():
-            x = 2.0 / (p * p)
-            t_lo = _dn2(math.log1p(-_up(x)))
-            t_hi = _up2(math.log1p(-_dn(x)))
-            lo_sum = _dn(lo_sum + t_lo)
-            hi_sum = _up(hi_sum + t_hi)
+        x = _two_over_square(seg)
+        t_lo = _log1p(-np.nextafter(x, _INF))
+        t_hi = _log1p(-np.nextafter(x, -_INF))
+        for _ in range(2):
+            t_lo = np.nextafter(t_lo, -_INF)
+            t_hi = np.nextafter(t_hi, _INF)
+        for t in t_lo.tolist():
+            lo_sum = nextafter(lo_sum + t, -_INF)
+        for t in t_hi.tolist():
+            hi_sum = nextafter(hi_sum + t, _INF)
     # tail over p > P: upper bound 0 (every factor is below 1), lower bound
     # -Sum x/(1-x) >= -(Sum x) / (1 - max x)
     tail_x = _up(2.0 / (P - 1))
@@ -85,6 +97,28 @@ def sigma_enclosure(P: int) -> Enclosure:
     tail_lo = _dn(-tail_x / denom)
     lo_sum = _dn(lo_sum + tail_lo)
     return Enclosure(_dn2(math.exp(lo_sum)), _up2(math.exp(hi_sum)))
+
+
+#: Largest p whose square p*p fits int64 (about 3.04e9).
+_INT64_SQUARE_MAX = math.isqrt(2 ** 63 - 1)
+
+
+def _two_over_square(ps: np.ndarray) -> np.ndarray:
+    """2.0 / (p*p) per prime, as Python's float division by the int p*p rounds it.
+
+    p*p is exact in int64 up to _INT64_SQUARE_MAX and converts to float with
+    one round to nearest, as int -> float does; larger p take the scalar path.
+    """
+    k = int(np.searchsorted(ps, _INT64_SQUARE_MAX, side="right"))
+    x = 2.0 / (ps[:k] * ps[:k]).astype(np.float64)
+    if k == ps.size:
+        return x
+    return np.concatenate((x, [2.0 / (p * p) for p in ps[k:].tolist()]))
+
+
+def _log1p(x: np.ndarray) -> np.ndarray:
+    """math.log1p per element (numpy's log1p may round differently)."""
+    return np.fromiter(map(math.log1p, x.tolist()), dtype=np.float64, count=x.size)
 
 
 def sigma_partial_product(P: int) -> float:

@@ -8,11 +8,14 @@ updates are idempotent, so concurrent readers are safe.
 
 The prime channel sieves odd values only: one bool cell per odd value of
 [lo, hi), cell j standing for (lo | 1) + 2j.  Each base prime p >= 3 strikes
-every p-th cell from its first odd multiple >= max(p*p, lo); 2 is set by
-hand and 1 is cleared.  The cells are then spread into the positional
-is_prime array, so a prime-only window costs 1.5 bytes a value and never
-builds the int64 array of its values, which only the mu and tau channels
-read.
+every p-th cell from its first odd multiple >= max(p*p, lo); 1 is cleared.
+The segment keeps these odd cells and spreads them into the positional
+is_prime array (with 2 set by hand) only when is_prime is first read.  The
+prime stream, iter_prime_segments, never reads it: it takes the primes
+straight from the odd cells as first_odd + 2*j, so a streamed window costs
+half a byte a value plus its primes, with no spread and no second nonzero
+pass.  No prime-only window builds the int64 array of its values, which only
+the mu and tau channels read.
 
 Squarefree flags start from a wheel: a fixed two-period pattern of the
 multiples of 4, 9, 25 and 49 (period 44100, 88 KB) is copied into each
@@ -29,7 +32,7 @@ value 1 carries mu=1, tau=1, not prime, squarefree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
@@ -101,19 +104,49 @@ def _first_multiple(lo: int, step: int) -> int:
     return ((lo + step - 1) // step) * step
 
 
+class _SpreadOnRead:
+    """The is_prime field: stored as given, or spread from the odd cells on first read.
+
+    A data descriptor, so the dataclass __init__ stores through __set__ and
+    its default (None, read on the class) stays the field default.  The
+    spread is idempotent, so two readers racing on it store equal arrays.
+    """
+
+    def __set_name__(self, owner, name):
+        self._slot = "_" + name
+
+    def __get__(self, seg, owner=None):
+        if seg is None:
+            return None
+        flags = seg.__dict__[self._slot]
+        if flags is None and seg._odd is not None:
+            flags = np.zeros(seg.hi - seg.lo, dtype=bool)
+            flags[(seg.lo | 1) - seg.lo:: 2] = seg._odd
+            if seg.lo <= 2 < seg.hi:
+                flags[2 - seg.lo] = True
+            seg.__dict__[self._slot] = flags
+        return flags
+
+    def __set__(self, seg, value):
+        seg.__dict__[self._slot] = value
+
+
 @dataclass(frozen=True)
 class SieveSegment:
     """Per-element arithmetic data for the half-open window [lo, hi).
 
     Channels not requested are None.  Arrays are positional: index i holds
-    data for the value lo + i.
+    data for the value lo + i.  A prime segment keeps its odd cells (cell j
+    for the value (lo | 1) + 2j) and builds is_prime from them when it is
+    first read.
     """
 
     lo: int
     hi: int
-    mu: Optional[np.ndarray] = None        # int8 in {-1, 0, 1}
-    is_prime: Optional[np.ndarray] = None  # bool
-    tau: Optional[np.ndarray] = None       # int64 divisor counts
+    mu: Optional[np.ndarray] = None                # int8 in {-1, 0, 1}
+    is_prime: Optional[np.ndarray] = _SpreadOnRead()  # bool
+    tau: Optional[np.ndarray] = None               # int64 divisor counts
+    _odd: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
 def sieve_segment(
@@ -141,7 +174,7 @@ def sieve_segment(
     if wanted & {"mu", "tau"}:
         values = np.arange(lo, hi, dtype=np.int64)
 
-    mu = is_prime = tau = None
+    mu = odd = tau = None
 
     if "prime" in wanted:
         first_odd = lo | 1
@@ -154,10 +187,6 @@ def sieve_segment(
                 odd[(start - first_odd) >> 1:: p] = False
         if first_odd == 1 and odd.size:
             odd[0] = False
-        is_prime = np.zeros(n, dtype=bool)
-        is_prime[first_odd - lo:: 2] = odd
-        if lo <= 2 < hi:
-            is_prime[2 - lo] = True
 
     if "mu" in wanted:
         sign = np.ones(n, dtype=np.int8)
@@ -202,7 +231,7 @@ def sieve_segment(
         if lo == 0:
             tau[0] = 0
 
-    return SieveSegment(lo=lo, hi=hi, mu=mu, is_prime=is_prime, tau=tau)
+    return SieveSegment(lo=lo, hi=hi, mu=mu, tau=tau, _odd=odd)
 
 
 def squarefree_flags(lo: int, hi: int, segment_cap: int = DEFAULT_SEGMENT_CAP) -> np.ndarray:
@@ -261,7 +290,11 @@ def iter_prime_segments(
     hi: int,
     segment_cap: int = DEFAULT_SEGMENT_CAP,
 ) -> Iterator[np.ndarray]:
-    """Yield ascending int64 arrays of primes covering [lo, hi) window by window."""
+    """Yield ascending int64 arrays of primes covering [lo, hi) window by window.
+
+    One sieve_segment call per window; its primes are read from the odd
+    cells.  Nothing of a window outlives its yield but the yielded array.
+    """
     if not (0 <= lo < hi):
         raise InvalidRangeError(f"need 0 <= lo < hi, got [{lo}, {hi})")
     if hi > GLOBAL_MAX:
@@ -269,9 +302,18 @@ def iter_prime_segments(
     cur = lo
     while cur < hi:
         top = min(cur + segment_cap, hi)
-        seg = sieve_segment(cur, top, {"prime"}, segment_cap)
-        yield seg.lo + np.nonzero(seg.is_prime)[0]
+        yield _segment_primes(sieve_segment(cur, top, {"prime"}, segment_cap))
         cur = top
+
+
+def _segment_primes(seg: SieveSegment) -> np.ndarray:
+    """The primes of a prime segment, (lo | 1) + 2j for each set odd cell j, and 2."""
+    primes = np.flatnonzero(seg._odd).astype(np.int64, copy=False)
+    primes *= 2
+    primes += seg.lo | 1
+    if seg.lo <= 2 < seg.hi:
+        primes = np.concatenate(([2], primes))
+    return primes
 
 
 def primes_in(lo: int, hi: int, segment_cap: int = DEFAULT_SEGMENT_CAP) -> np.ndarray:

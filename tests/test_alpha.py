@@ -286,6 +286,57 @@ def test_floors_bulk_matches_exact(sqrt2, golden, poly_sqrt2):
             assert got == alpha.floor_times(n), (alpha.spec, n)
 
 
+def _convergent_denominators(alpha, top):
+    # continued fraction of floor(alpha * 2**256) / 2**256, whose partial
+    # quotients agree with alpha's while the denominators stay far below 2**128
+    num, den = alpha.scaled_floor_bits(256), 1 << 256
+    q_prev, q = 1, 0
+    out = []
+    while den and q <= top:
+        a, rem = divmod(num, den)
+        num, den = den, rem
+        q_prev, q = q, a * q + q_prev
+        out.append(q)
+    return [q for q in out if q <= top]
+
+
+@pytest.mark.parametrize("spec", ["sqrt:2", "quad:1,1,2,5", "quad:-3,7,5,11",
+                                  "poly:-30000,0,0,1@31/1,32/1"])
+def test_floors_bulk_at_convergent_denominators(spec):
+    # n = k*q for a convergent denominator q (and n +- 1) puts alpha*n within
+    # about k/q of an integer, on either side, up to alpha*n near GLOBAL_MAX;
+    # shuffled, so the scalar margin sees its maximum anywhere in the array
+    alpha = _alpha(spec)
+    top = GLOBAL_MAX // (math.ceil(alpha.to_float()) + 1)
+    ns = {k * q + d for q in _convergent_denominators(alpha, top)
+          for k in (1, 2, 3) for d in (-1, 0, 1)}
+    ns = sorted(n for n in ns if 0 <= n <= top)
+    near = [n for n in ns if n and min(alpha.frac_part_approx(1, n, 1),
+                                       1 - alpha.frac_part_approx(1, n, 1)) < 1e-6]
+    assert len(near) >= 5, spec
+    shuffled = ns[::2][::-1] + ns[1::2]
+    for batch in (shuffled, near, near[::-1], [ns[-1], *near[:3]]):
+        assert alpha.floors_bulk(batch).tolist() == [alpha.floor_times(n) for n in batch]
+
+
+def test_floors_bulk_empty_and_unsorted(sqrt2, poly_sqrt2):
+    import numpy as np
+
+    for alpha in (sqrt2, poly_sqrt2):
+        empty = alpha.floors_bulk([])
+        assert empty.dtype == np.int64 and empty.shape == (0,)
+        ns = [10 ** 12 + 39, 0, 7, 3, 10 ** 9, 1, 10 ** 12]
+        assert alpha.floors_bulk(ns).tolist() == [alpha.floor_times(n) for n in ns]
+
+
+def test_floors_bulk_refuses_negative_n(sqrt2):
+    # sqrt(2)*7645370045 lies just above an integer, so a float floor of
+    # -sqrt(2)*7645370045 is one too high; the exact path needs n >= 0
+    for ns in ([-7645370045], [5, -1], [-(10 ** 12)]):
+        with pytest.raises(InvalidRangeError):
+            sqrt2.floors_bulk(ns)
+
+
 def test_cubic_poly_root():
     # real root of x^3 - x - 1 in (1, 2)
     alpha = parse_alpha("poly:-1,-1,0,1@1/1,2/1")

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import sqfpairs
 from sqfpairs.cli import (
     COLUMNS,
     apply_rule,
@@ -186,6 +191,26 @@ def test_huge_poly_constant_term_exits_3_promptly(tmp_path, capsys):
                    "--n", "100", "--out", str(tmp_path / "x.csv")) == 3
     assert time.perf_counter() - start < 1.0
     assert "rational-root" in capsys.readouterr().err
+
+
+def test_out_of_memory_exits_3_naming_segment_cap():
+    # a child process with a 1 GiB address-space limit asks for a 1.3 GiB
+    # sieve window; the limit is set in the child only
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(sqfpairs.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from sqfpairs.cli import main; sys.exit(main())",
+         "pairs", "--alpha", "sqrt:2", "--n", "3e9", "--segment-cap", "4000000000"],
+        env=env, preexec_fn=limit_memory, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    assert "--segment-cap" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_unwritable_path_exits_4():

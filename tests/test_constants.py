@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import oracles
@@ -12,6 +13,7 @@ from sqfpairs import (
     tail_tau_sum,
     zeta2_enclosure,
 )
+from sqfpairs.constants import _INT64_SQUARE_MAX, _two_over_square
 from sqfpairs.errors import InvalidRangeError
 
 # Product over all primes of (1 - 2/p^2), recorded once from a P = 10^8 run
@@ -30,6 +32,48 @@ def test_sigma_enclosure_width_and_containment_at_1e6():
     enc = sigma_enclosure(10 ** 6)
     assert enc.width() < 1e-5
     assert enc.contains(SIGMA_REF)
+
+
+def test_sigma_enclosure_bits_are_pinned():
+    # recorded from the per-prime scalar loop (one math.nextafter per nudge);
+    # the segment-wide evaluation must reproduce every bit
+    for P, lo, hi in ((10 ** 6, "0x1.4a606f7fb03c3p-2", "0x1.4a609acd81a23p-2"),
+                      (10 ** 3, "0x1.49cce158cab26p-2", "0x1.4a7613a25b157p-2")):
+        enc = sigma_enclosure(P)
+        assert (enc.lo.hex(), enc.hi.hex()) == (lo, hi), P
+
+
+def _sigma_enclosure_per_prime(P):
+    # reference: the scalar loop, one math.nextafter per nudge, prime by prime
+    def dn(x):
+        return math.nextafter(x, -math.inf)
+
+    def up(x):
+        return math.nextafter(x, math.inf)
+
+    lo_sum = hi_sum = 0.0
+    for p in oracles.primes_to(P):
+        x = 2.0 / (p * p)
+        lo_sum = dn(lo_sum + dn(dn(math.log1p(-up(x)))))
+        hi_sum = up(hi_sum + up(up(math.log1p(-dn(x)))))
+    lo_sum = dn(lo_sum + dn(-up(2.0 / (P - 1)) / dn(1.0 - up(2.0 / (P * P)))))
+    return dn(dn(math.exp(lo_sum))), up(up(math.exp(hi_sum)))
+
+
+@pytest.mark.parametrize("P", [3, 4, 5, 97, 1000, 4099, 20000])
+def test_sigma_enclosure_matches_per_prime_loop(P):
+    enc = sigma_enclosure(P)
+    assert (enc.lo, enc.hi) == _sigma_enclosure_per_prime(P)
+
+
+def test_two_over_square_rounds_like_python_int_division():
+    # p*p is rounded once to float, in int64 below the overflow point and as
+    # a Python int above it; the values need not be prime here
+    top = _INT64_SQUARE_MAX
+    ps = np.array([2, 3, 94906263, 94906267, 2 ** 31 - 1, top - 1, top, top + 1,
+                   2 ** 32 + 15, 2 ** 40 + 1], dtype=np.int64)
+    got = _two_over_square(ps)
+    assert got.tolist() == [2.0 / (p * p) for p in ps.tolist()]
 
 
 def test_sigma_partial_product_single_factor():

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sqfpairs import crt_residue, prime_count, primes_in, sieve_segment, squarefree_flags
+from sqfpairs import (SieveSegment, crt_residue, prime_count, primes_in, sieve_segment,
+                      squarefree_flags)
 from sqfpairs import sieves
-from sqfpairs.sieves import _SQF_BLOCK, _WHEEL_PERIOD, base_primes
+from sqfpairs.sieves import _SQF_BLOCK, _WHEEL_PERIOD, base_primes, iter_prime_segments
 from sqfpairs.errors import (
     ConfigError,
     InvalidRangeError,
@@ -200,6 +201,68 @@ def test_prime_only_window_allocates_no_int64_array():
     finally:
         tracemalloc.stop()
     assert peak < 3 * n, peak
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def _stream_windows(draw):
+    # lo in 0..3 or anywhere up to 1e6 (both parities); widths 1..5000; the
+    # cap either cuts at random or puts a window edge exactly on 2 or on a
+    # prime square p*p inside the range, the first cell p strikes
+    lo = draw(st.one_of(st.integers(0, 3), st.integers(0, 10 ** 6)))
+    width = draw(st.integers(1, 5000))
+    hi = lo + width
+    targets = [t for t in [2] + [p * p for p in base_primes(1000).tolist()] if lo < t < hi]
+    if targets and draw(st.booleans()):
+        cut = draw(st.sampled_from(targets))
+        cap = draw(st.sampled_from([d for d in _divisors(cut - lo) if d * 200 >= width]
+                                   or [cut - lo]))
+    else:
+        cap = draw(st.integers(max(1, width // 200), width + 3))
+    return lo, hi, cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(window=_stream_windows())
+def test_iter_prime_segments_match_oracle_property(window):
+    lo, hi, cap = window
+    segs = list(iter_prime_segments(lo, hi, cap))
+    assert len(segs) == -(-(hi - lo) // cap)
+    bounds = [min(lo + k * cap, hi) for k in range(len(segs) + 1)]
+    for (a, b), seg in zip(zip(bounds, bounds[1:]), segs):
+        assert seg.dtype == np.int64
+        assert seg.tolist() == [n for n in range(a, b) if oracles.is_prime(n)], (a, b)
+
+
+def test_prime_segment_spreads_is_prime_on_read():
+    seg = sieve_segment(0, 12, {"prime"})
+    assert seg.is_prime.tolist() == [n in (2, 3, 5, 7, 11) for n in range(12)]
+    assert seg.is_prime is seg.is_prime  # spread once, then kept
+    given_flags = np.array([False, True])
+    assert SieveSegment(2, 4, is_prime=given_flags).is_prime is given_flags
+    assert SieveSegment(2, 4).is_prime is None
+    assert sieve_segment(2, 4, {"mu"}).is_prime is None
+
+
+def test_prime_stream_memory_stays_under_one_and_a_half_bytes_a_cell():
+    # the odd cells (half a byte a value) plus this window's primes and the
+    # previous window's, which the consumer still holds; no is_prime spread
+    n = 1 << 22
+    lo = 10 ** 8
+    base_primes(math.isqrt(lo + 4 * n))  # grow the shared cache outside the trace
+    tracemalloc.start()
+    try:
+        count = 0
+        for ps in iter_prime_segments(lo, lo + 4 * n, n):
+            count += ps.size
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == prime_count(lo + 4 * n - 1) - prime_count(lo - 1)
+    assert peak <= 1.5 * n, peak / n
 
 
 def _slice_per_square(lo, hi):
