@@ -3,10 +3,19 @@
 Counts are exact integers throughout; the only floating step is the final
 comparison against the density prediction, so observed convergence can never
 be a rounding artifact.  Every count over primes reads one stream of
-(primes, floors) segments whose prime windows are sized from alpha, so that
-each floor window [fl[0], fl[-1] + 2), holding every m = [alpha*p] and m + 1,
-spans at most segment_cap cells: one sieve call covers it, and memory stays
-bounded by the segment cap for every alpha.
+(primes, floors) segments.  Each segment holds the primes of one block of w
+values, w sized from alpha so that its floor window [fl[0], fl[-1] + 2),
+holding every m = [alpha*p] and m + 1, spans at most segment_cap cells: one
+squarefree sieve call covers it.  The primes themselves are sieved in wider
+windows of a whole number of blocks, up to min(segment_cap, _PRIME_WINDOW)
+values whatever alpha is, and cut back into the blocks, so a large alpha does
+not pay a sieve call per tiny block.  A count flags its floor windows into one
+buffer of its own, grown to the largest window it meets, so memory stays
+bounded by the segment cap for every alpha.  A grown buffer is allocated only
+after every reference to the old one is dropped: allocated while the old one
+lives, glibc's malloc can place it above the old one on the heap, and the
+freed old buffer then stays resident (peak RSS rose 4 MiB on a pair count at
+alpha near 31, N = 3e7).
 """
 
 from __future__ import annotations
@@ -32,6 +41,13 @@ from .sieves import (
 
 #: Truncation used for the density midpoint entering predictions.
 SIGMA_PRODUCT_LIMIT = 10 ** 6
+
+#: Prime-window width aimed at: whole floor blocks up to min(segment_cap, this), at least one.
+_PRIME_WINDOW = 1 << 20
+
+#: Primes per class update in decompose, so its Python lists of classes stay
+#: small beside the radical buffer (8 bytes a prime per list).
+_CLASS_CHUNK = 1 << 14
 
 
 @lru_cache(maxsize=1)
@@ -91,19 +107,48 @@ def _check_n(alpha: AlgebraicAlpha, N: int) -> None:
 
 
 def _prime_floors(alpha: AlgebraicAlpha, N: int, segment_cap: int):
-    """(primes, floors) per segment of the primes p <= N; checks run at the call.
+    """(primes, floors) per floor block of the primes p <= N; checks run at the call.
 
-    With A = [alpha * 2**32], alpha < (A + 1) / 2**32.  Primes of one window
-    differ by at most w - 1, so the floor window [fl[0], fl[-1] + 2) has fewer
-    than alpha*(w - 1) + 3 <= segment_cap cells; w = 1 gives 2 cells.
+    The floor blocks are [2 + j*w, 2 + (j + 1)*w), empty ones skipped.  With
+    A = [alpha * 2**32], alpha < (A + 1) / 2**32.  Primes of one block differ
+    by at most w - 1, so the floor window [fl[0], fl[-1] + 2) has fewer than
+    alpha*(w - 1) + 3 <= segment_cap cells; w = 1 gives 2 cells.
+
+    The primes are sieved, and their floors taken, in prime windows of
+    W = k*w values, k = max(1, min(segment_cap, _PRIME_WINDOW) // w), so
+    W <= segment_cap.  Prime window i is [2 + i*W, 2 + (i + 1)*W), exactly
+    blocks i*k to i*k + k - 1, and it is cut back into them at the primes
+    whose block index (p - 2 - i*W) // w differs from their predecessor's:
+    the blocks, and so the floor windows, are the same for every k.  For
+    alpha below about 4 at the default cap, w >= _PRIME_WINDOW and k = 1.
     """
     _check_n(alpha, N)
     if segment_cap < 2:
         raise ConfigError("segment cap must be at least 2")
     A = alpha.scaled_floor_bits(32)
     w = max(1, min(segment_cap, ((segment_cap - 3) << 32) // (A + 1) + 1))
-    return ((ps, alpha.floors_bulk(ps))
-            for ps in iter_prime_segments(2, N + 1, w) if ps.size)
+    W = w * max(1, min(segment_cap, _PRIME_WINDOW) // w)
+    return _floor_blocks(alpha, N, w, W)
+
+
+def _floor_blocks(alpha: AlgebraicAlpha, N: int, w: int, W: int):
+    for start, ps in zip(range(2, N + 1, W), iter_prime_segments(2, N + 1, W)):
+        if not ps.size:
+            continue
+        fl = alpha.floors_bulk(ps)
+        if W == w:  # one block a window: nothing to cut
+            yield ps, fl
+            continue
+        # cut wherever a prime opens a new block: the cuts cost O(primes)
+        # however many empty blocks the window holds, and views are made
+        # one block at a time
+        blk = ps - start
+        blk //= w
+        a = 0
+        for b in np.flatnonzero(blk[1:] != blk[:-1]) + 1:
+            yield ps[a:b], fl[a:b]
+            a = b
+        yield ps[a:], fl[a:]
 
 
 def carlitz_count(N: int, segment_cap: int = DEFAULT_SEGMENT_CAP) -> int:
@@ -124,12 +169,17 @@ def carlitz_count(N: int, segment_cap: int = DEFAULT_SEGMENT_CAP) -> int:
 
 def _count_over_primes(alpha: AlgebraicAlpha, N: int, pair: bool, segment_cap: int):
     count = pi_n = 0
+    buf = np.empty(0, dtype=bool)
     for ps, fl in _prime_floors(alpha, N, segment_cap):
         pi_n += int(ps.size)
         lo = int(fl[0])
-        flags = squarefree_flags(lo, int(fl[-1]) + 2, segment_cap)
+        hi = int(fl[-1]) + 2
+        if buf.size < hi - lo:
+            buf = None  # drop the old buffer first (module docstring)
+            buf = np.empty(hi - lo, dtype=bool)
+        squarefree_flags(lo, hi, segment_cap, out=buf)
         idx = fl - lo
-        hit = flags[idx] & flags[idx + 1] if pair else flags[idx]
+        hit = buf[idx] & buf[idx + 1] if pair else buf[idx]
         count += int(np.count_nonzero(hit))
     return count, pi_n
 
@@ -206,8 +256,9 @@ def decompose(alpha: AlgebraicAlpha, N: int, z: float,
 
     Those sums depend on m only through its class (R, S): R is the product of
     the primes whose square divides m, S the same for m+1.  Each segment of
-    the prime stream sieves R over its floor window, the primes are grouped
-    by class, and each class is expanded once, weighted by its prime count.
+    the prime stream sieves R over its floor window, in one int32 buffer
+    grown to the largest window met, the primes are grouped by class, and
+    each class is expanded once, weighted by its prime count.
 
     z may sit anywhere in [1, (alpha*N)^(2/3)]; values below 2 are outside
     the regime of the asymptotic analysis but leave the identity intact.
@@ -220,19 +271,25 @@ def decompose(alpha: AlgebraicAlpha, N: int, z: float,
         raise ConfigError(f"z={z} outside [1, (alpha*N)^(2/3)] = [1, {z_cap:.6g}]")
 
     classes = Counter()
+    # R^2 divides m <= GLOBAL_MAX = 2**52, so R <= 2**26 fits int32
+    buf = np.empty(0, dtype=np.int32)
     for _, fl in stream:
-        fl = fl[fl > 0]
+        fl = fl[int(np.searchsorted(fl, 1)):]  # floors ascend: the zeros are a prefix
         if not fl.size:
             continue
         lo = int(fl[0])
         hi = int(fl[-1]) + 2
-        # R^2 divides m <= GLOBAL_MAX = 2**52, so R <= 2**26 fits int32
-        rad = np.ones(hi - lo, dtype=np.int32)
+        if buf.size < hi - lo:
+            buf = rad = None  # drop the old buffer first (module docstring)
+            buf = np.empty(hi - lo, dtype=np.int32)
+        rad = buf[:hi - lo]
+        rad.fill(1)
         for p in base_primes(math.isqrt(hi - 1)).tolist():
             q = p * p
             rad[(-lo) % q:: q] *= p
-        idx = fl - lo
-        classes.update(zip(rad[idx].tolist(), rad[idx + 1].tolist()))
+        for i in range(0, fl.size, _CLASS_CHUNK):
+            idx = fl[i:i + _CLASS_CHUNK] - lo
+            classes.update(zip(rad[idx].tolist(), rad[idx + 1].tolist()))
 
     sigma1 = 0
     sigma2 = 0

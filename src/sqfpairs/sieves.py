@@ -23,7 +23,9 @@ cache-sized block of the window and doubled in place, and the squares of
 11..59 are struck while the block is still in cache.  Squares up to the
 window width then strike one slice each, and the larger squares, each of
 which hits the window at most once, are struck with one vectorised scatter.
-No pattern the size of the segment cap is kept.
+No pattern the size of the segment cap is kept; a caller that flags many
+windows passes one buffer of its own as out=, so no window pays for a fresh
+array's page faults.
 
 Convention cells: value 0 carries mu=0, tau=0, not prime, not squarefree;
 value 1 carries mu=1, tau=1, not prime, squarefree.
@@ -234,11 +236,19 @@ def sieve_segment(
     return SieveSegment(lo=lo, hi=hi, mu=mu, tau=tau, _odd=odd)
 
 
-def squarefree_flags(lo: int, hi: int, segment_cap: int = DEFAULT_SEGMENT_CAP) -> np.ndarray:
+def squarefree_flags(lo: int, hi: int, segment_cap: int = DEFAULT_SEGMENT_CAP,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """Boolean array over [lo, hi): True where the value is squarefree.
 
     The package's one squarefree sieve: the mu channel of sieve_segment
     takes its zeros from here.  Value 0 is not squarefree by convention.
+
+    out, when given, is a caller-owned buffer reused across windows: a
+    contiguous 1-d bool array of at least hi - lo cells.  The flags are
+    written to out[:hi - lo], which is returned; its old contents never
+    matter, since the wheel fill writes every cell before any strike, and
+    the cells past hi - lo are left alone.  Otherwise a fresh array is
+    returned.
 
     Three passes over one bool array:
 
@@ -260,7 +270,13 @@ def squarefree_flags(lo: int, hi: int, segment_cap: int = DEFAULT_SEGMENT_CAP) -
     """
     _check_window(lo, hi, segment_cap)
     n = hi - lo
-    flags = np.empty(n, dtype=bool)
+    if out is None:
+        flags = np.empty(n, dtype=bool)
+    elif (not isinstance(out, np.ndarray) or out.dtype != bool or out.ndim != 1
+            or not out.flags.c_contiguous or out.size < n):
+        raise ConfigError(f"out must be a contiguous 1-d bool array of at least {n} cells")
+    else:
+        flags = out[:n]
     for b in range(0, n, _SQF_BLOCK):
         e = min(b + _SQF_BLOCK, n)
         done = min(_WHEEL_PERIOD, e - b)

@@ -131,6 +131,28 @@ def brute_congruence_count(N, alpha_scaled, d, t):
     return count
 
 
+def brute_decompose(N, alpha_scaled, z):
+    """(sigma1, sigma2): mu(d)*mu(t) summed over p <= N, d^2 | m, t^2 | m + 1, m = [alpha*p] > 0.
+
+    sigma1 takes the terms with d*t <= z, sigma2 the rest; every square
+    divisor is found by scanning d up to sqrt(m).
+    """
+    sigma1 = sigma2 = 0
+    for p in primes_to(N):
+        m = floor_fixed(alpha_scaled, p)
+        if m == 0:
+            continue
+        ds = [d for d in range(1, math.isqrt(m) + 1) if m % (d * d) == 0 and mu(d)]
+        ts = [t for t in range(1, math.isqrt(m + 1) + 1) if (m + 1) % (t * t) == 0 and mu(t)]
+        for d in ds:
+            for t in ts:
+                if d * t <= z:
+                    sigma1 += mu(d) * mu(t)
+                else:
+                    sigma2 += mu(d) * mu(t)
+    return sigma1, sigma2
+
+
 def brute_carlitz(N):
     return sum(1 for n in range(1, N + 1) if squarefree(n) and squarefree(n + 1))
 

@@ -18,6 +18,7 @@ from sqfpairs import (
     prime_count,
     single_count,
 )
+from sqfpairs import counting, sieves
 from sqfpairs.counting import sigma_midpoint
 from sqfpairs.errors import ConfigError, InvalidRangeError, NotCoprimeError
 from sqfpairs.sieves import base_primes
@@ -115,8 +116,9 @@ def test_congruence_count_rejects_shared_factor(sqrt2):
 
 
 def test_decompose_identity_small(sqrt2, golden):
+    # 3e5 puts more primes in one floor window than one class update takes
     for alpha in (sqrt2, golden):
-        for N in (10, 200, 1000):
+        for N in (10, 200, 1000, 3 * 10 ** 5):
             expected = pair_count(alpha, N).count
             cap = (alpha.to_float() * N) ** (2.0 / 3.0)
             for z in (1.0, 2.0, 5.0, N ** 0.3, cap):
@@ -233,3 +235,106 @@ def test_pair_count_memory_is_bounded_by_segment_cap():
         tracemalloc.stop()
     assert rep == pair_count(alpha, 5000)
     assert peak < 16 * cap, peak
+
+
+def _spy(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def spy(lo, hi, *args, **kwargs):
+        calls.append((lo, hi))
+        return fn(lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("spec, a, b, c, D, N, cap", [
+    ("sqrt:2", 0, 1, 1, 2, 3000, 64),
+    ("quad:1,1,2,5", 1, 1, 2, 5, 2000, 5),
+    ("sqrt:999999", 0, 1, 1, 999999, 2 * 10 ** 4, 2 ** 12),
+    ("sqrt:999999", 0, 1, 1, 999999, 10 ** 4, 2 ** 14),
+    ("sqrt:123456789", 0, 1, 1, 123456789, 3000, 2 ** 14),
+    ("sqrt:999999", 0, 1, 1, 999999, 3000, 2 ** 30),
+])
+def test_prime_windows_are_cut_into_the_floor_windows(monkeypatch, spec, a, b, c, D, N, cap):
+    alpha = _alpha(spec)
+    sigma_midpoint()  # its own prime stream runs before the spies
+    sieved = _spy(monkeypatch, sieves, "sieve_segment")
+    flagged = _spy(monkeypatch, counting, "squarefree_flags")
+    pair_count(alpha, N, cap)
+
+    # the floor windows: blocks [2 + j*w, 2 + (j + 1)*w) of the primes,
+    # w the largest block whose floor window fits the cap
+    A = alpha.scaled_floor_bits(32)
+    w = max(1, min(cap, ((cap - 3) << 32) // (A + 1) + 1))
+    scaled = oracles.quad_alpha_bits(a, b, c, D)
+    blocks = {}
+    for p in oracles.primes_to(N):
+        blocks.setdefault((p - 2) // w, []).append(oracles.floor_fixed(scaled, p))
+    assert flagged == [(fl[0], fl[-1] + 2) for _, fl in sorted(blocks.items())]
+
+    # the prime windows tile [2, N] in whole blocks of equal count, several
+    # blocks a window whenever the cap allows it
+    assert all(hi - lo <= cap for lo, hi in sieved + flagged)
+    assert [lo for lo, _ in sieved] == [2] + [hi for _, hi in sieved[:-1]]
+    assert sieved[-1][1] == N + 1
+    W = sieved[0][1] - 2
+    assert all(hi - lo == W for lo, hi in sieved[:-1])
+    assert sieved[-1][1] - sieved[-1][0] <= W
+    if len(sieved) > 1:
+        assert W % w == 0
+    if alpha.to_float() > 100 and cap < N:
+        assert len(sieved) > 1
+        assert W >= 100 * w
+        assert len(flagged) > 10 * len(sieved)
+
+
+@st.composite
+def large_alpha_specs(draw):
+    """sqrt:D and quad:a,b,c,D specs with alpha about 30 to 1e4, plus their oracle bits."""
+    if draw(st.booleans()):
+        D = draw(st.integers(1000, 10 ** 8))
+        assume(math.isqrt(D) ** 2 != D)
+        return f"sqrt:{D}", oracles.quad_alpha_bits(0, 1, 1, D)
+    a = draw(st.integers(0, 100))
+    b = draw(st.integers(1, 100))
+    c = draw(st.integers(1, 3))
+    D = draw(st.integers(2, 10 ** 4))
+    assume(math.isqrt(D) ** 2 != D)
+    return f"quad:{a},{b},{c},{D}", oracles.quad_alpha_bits(a, b, c, D)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec_bits=large_alpha_specs(), N=st.integers(2, 800),
+       cap=st.one_of(st.integers(2, 64), st.integers(2, 2 ** 16)),
+       d=st.integers(1, 4), t=st.integers(1, 4), z_frac=st.floats(0.0, 1.0))
+def test_large_alpha_counts_match_brute_force(spec_bits, N, cap, d, t, z_frac):
+    # alpha up to about 1e4, caps from 2 up: each prime window is cut into
+    # many floor windows, or into single-value blocks once alpha > cap - 3
+    assume(math.gcd(d, t) == 1)
+    spec, scaled = spec_bits
+    alpha = _alpha(spec)
+    assert pair_count(alpha, N, cap).count == oracles.brute_pair_count(N, scaled)
+    assert single_count(alpha, N, cap).count == oracles.brute_single_count(N, scaled)
+    assert congruence_pair_count(alpha, N, d, t, cap) == \
+        oracles.brute_congruence_count(N, scaled, d, t)
+    z = 1.0 + z_frac * ((alpha.to_float() * N) ** (2.0 / 3.0) - 1.0)
+    rep = decompose(alpha, N, z, cap)
+    assert (rep.sigma1, rep.sigma2) == oracles.brute_decompose(N, scaled, z)
+
+
+def test_huge_segment_cap_sizes_no_buffer_to_the_cap(sqrt2):
+    # the flag and radical buffers grow to the floor windows met, about
+    # 1.4e4 cells here, never to the 2**30 cells the cap would allow
+    base_primes(math.isqrt(2 * 10 ** 4) + 1)
+    sigma_midpoint()
+    for run in (lambda: pair_count(sqrt2, 10 ** 4, segment_cap=2 ** 30),
+                lambda: decompose(sqrt2, 10 ** 4, 10.0, segment_cap=2 ** 30)):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 19, peak

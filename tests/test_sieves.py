@@ -340,3 +340,35 @@ def test_squarefree_flags_memory_stays_near_one_byte_a_cell():
     for name, value in vars(sieves).items():
         if isinstance(value, np.ndarray) and name != "_base_primes":
             assert value.nbytes <= 2 * _WHEEL_PERIOD, (name, value.nbytes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lo=st.one_of(st.integers(0, 3), _near(_WHEEL_PERIOD, 200), _near(_SQF_BLOCK, 16),
+                    st.integers(0, 10 ** 7)),
+       width=st.one_of(st.integers(1, 3000),
+                       st.builds(lambda w, d: w + d,
+                                 st.sampled_from([_WHEEL_PERIOD, _SQF_BLOCK, 2 * _SQF_BLOCK]),
+                                 st.integers(-3, 3))),
+       spare=st.integers(0, 100), seed=st.integers(0, 2 ** 32 - 1))
+def test_squarefree_flags_into_caller_buffer_property(lo, width, spare, seed):
+    # a buffer full of stale random bools, possibly longer than the window:
+    # the window's cells equal a fresh call, the spare cells are untouched
+    hi = lo + width
+    buf = np.random.default_rng(seed).integers(0, 2, width + spare).astype(bool)
+    before = buf.copy()
+    flags = squarefree_flags(lo, hi, out=buf)
+    assert flags.shape == (width,)
+    assert np.shares_memory(flags, buf)
+    assert np.array_equal(flags, squarefree_flags(lo, hi)), (lo, hi)
+    assert np.array_equal(buf[width:], before[width:])
+
+
+def test_squarefree_flags_rejects_bad_buffers():
+    n = 100
+    for bad in (np.empty(n - 1, dtype=bool),          # too small
+                np.empty(n, dtype=np.uint8),          # not bool
+                np.empty(2 * n, dtype=bool)[::2],     # not contiguous
+                np.empty((2, n), dtype=bool),         # not 1-d
+                [True] * n):                          # not an array
+        with pytest.raises(ConfigError):
+            squarefree_flags(10 ** 6, 10 ** 6 + n, out=bad)
