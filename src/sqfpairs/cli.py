@@ -283,14 +283,14 @@ def _run_discrepancy(cfg: ExperimentConfig) -> None:
         a, b = cfg.interval
         H = cfg.h if cfg.h is not None else 100
         for k in _need_n(cfg):
-            pts = expsum.beatty_frac_points(alpha, k, m)
+            pts = expsum.beatty_frac_points(alpha, k, m, cfg.segment_cap)
             rep = expsum.erdos_turan_bound(pts, H, (a, b))
             rows.append({"K": k, "m": m, "a": a, "b": b, "H": H,
                          "lhs": rep.lhs, "rhs": rep.rhs, "ratio": rep.ratio})
         emit_table(rows, cfg.output_format, cfg.output_path, COLUMNS["discrepancy_et"])
         return
     for k in _need_n(cfg):
-        pts = expsum.beatty_frac_points(alpha, k, m)
+        pts = expsum.beatty_frac_points(alpha, k, m, cfg.segment_cap)
         rows.append({"K": k, "m": m, "dstar": expsum.star_discrepancy(pts)})
     emit_table(rows, cfg.output_format, cfg.output_path, COLUMNS["discrepancy"])
 

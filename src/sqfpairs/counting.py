@@ -16,6 +16,14 @@ after every reference to the old one is dropped: allocated while the old one
 lives, glibc's malloc can place it above the old one on the heap, and the
 freed old buffer then stays resident (peak RSS rose 4 MiB on a pair count at
 alpha near 31, N = 3e7).
+
+decompose reads the radicals of its floor windows instead of flags.  It cuts
+each window into blocks of at most _RAD_BLOCK cells (1 MiB of int32, which
+stays in cache while the small squares strike it) and keeps one int32 buffer
+grown to the widest block met, at most min(_RAD_BLOCK, window) cells, so its
+memory is set by the block rather than the segment cap.  The primes of a
+block are tallied by class in numpy, so only the distinct classes, a few
+hundred a block, reach Python.
 """
 
 from __future__ import annotations
@@ -45,9 +53,11 @@ SIGMA_PRODUCT_LIMIT = 10 ** 6
 #: Prime-window width aimed at: whole floor blocks up to min(segment_cap, this), at least one.
 _PRIME_WINDOW = 1 << 20
 
-#: Primes per class update in decompose, so its Python lists of classes stay
-#: small beside the radical buffer (8 bytes a prime per list).
-_CLASS_CHUNK = 1 << 14
+#: Floor-window cells per radical block in decompose (module docstring).
+_RAD_BLOCK = 1 << 18
+
+#: Mask of S in a decompose class key R << 32 | S.
+_LOW32 = (1 << 32) - 1
 
 
 @lru_cache(maxsize=1)
@@ -217,14 +227,18 @@ def congruence_pair_count(alpha: AlgebraicAlpha, N: int, d: int, t: int,
     """Count primes p <= N with [alpha*p] = 0 (mod d^2) and [alpha*p]+1 = 0 (mod t^2).
 
     Requires gcd(d, t) = 1; the decomposition only ever sums over coprime
-    pairs, so a shared factor signals a caller bug.
+    pairs, so a shared factor signals a caller bug.  Every floor + 1 is
+    below 2**53 (alpha*N <= GLOBAL_MAX = 2**52), so a square above 2**53
+    divides a floor or floor + 1 exactly where 2**53 does, at floor 0 only:
+    the moduli are clamped to 2**53, which keeps them in int64 and the count
+    exact.
     """
     if d < 1 or t < 1:
         raise InvalidRangeError(f"need d, t >= 1, got d={d}, t={t}")
     if math.gcd(d, t) != 1:
         raise NotCoprimeError(f"gcd({d}, {t}) != 1")
-    d2 = d * d
-    t2 = t * t
+    d2 = min(d * d, 1 << 53)
+    t2 = min(t * t, 1 << 53)
     count = 0
     for _, fl in _prime_floors(alpha, N, segment_cap):
         count += int(np.count_nonzero((fl % d2 == 0) & ((fl + 1) % t2 == 0)))
@@ -245,6 +259,23 @@ def _square_divisors(r: int):
     return divs
 
 
+def _radicals(lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
+    """R(m) for m in [lo, hi), 0 < lo, in buf[:hi - lo]: the product of the primes p with p^2 | m."""
+    n = hi - lo
+    rad = buf[:n]
+    rad.fill(1)
+    ps = base_primes(math.isqrt(hi - 1))
+    split = int(np.searchsorted(ps, math.isqrt(n), side="right"))
+    for p in ps[:split].tolist():  # p^2 <= n: one slice each
+        q = p * p
+        rad[(-lo) % q:: q] *= p
+    ps = ps[split:]  # p^2 > n: at most one multiple in the block
+    offsets = (-lo) % (ps * ps)
+    hit = offsets < n
+    np.multiply.at(rad, offsets[hit], ps[hit].astype(np.int32))
+    return rad
+
+
 def decompose(alpha: AlgebraicAlpha, N: int, z: float,
               segment_cap: int = DEFAULT_SEGMENT_CAP) -> DecompositionReport:
     """Split the pair count into signed sums over dt <= z and dt > z.
@@ -255,10 +286,18 @@ def decompose(alpha: AlgebraicAlpha, N: int, z: float,
     sigma1 + sigma2 equals the pair count exactly for every split point.
 
     Those sums depend on m only through its class (R, S): R is the product of
-    the primes whose square divides m, S the same for m+1.  Each segment of
-    the prime stream sieves R over its floor window, in one int32 buffer
-    grown to the largest window met, the primes are grouped by class, and
-    each class is expanded once, weighted by its prime count.
+    the primes whose square divides m, S the same for m+1.  Each floor window
+    of the prime stream is cut into blocks: a block starts at its first floor
+    m0 and takes the floors below m0 + _RAD_BLOCK - 1, so it spans at most
+    _RAD_BLOCK cells with m + 1 of its last floor inside.  R is sieved over
+    the block into one int32 buffer: each square up to the block width
+    strikes one slice, and the larger squares, each with at most one multiple
+    in the block, strike with one np.multiply.at scatter, which stays exact
+    where two of them hit the same cell.  The block's primes are tallied as
+    int64 keys R << 32 | S (both at most 2**26) with np.unique, the tallies
+    are merged across blocks, and each distinct class is expanded once,
+    weighted by its prime count, from the square divisors of each distinct
+    radical.
 
     z may sit anywhere in [1, (alpha*N)^(2/3)]; values below 2 are outside
     the regime of the asymptotic analysis but leave the identity intact.
@@ -270,32 +309,36 @@ def decompose(alpha: AlgebraicAlpha, N: int, z: float,
     if not 1.0 <= z <= z_cap:
         raise ConfigError(f"z={z} outside [1, (alpha*N)^(2/3)] = [1, {z_cap:.6g}]")
 
-    classes = Counter()
+    classes = Counter()  # class key R << 32 | S -> primes
     # R^2 divides m <= GLOBAL_MAX = 2**52, so R <= 2**26 fits int32
     buf = np.empty(0, dtype=np.int32)
     for _, fl in stream:
         fl = fl[int(np.searchsorted(fl, 1)):]  # floors ascend: the zeros are a prefix
-        if not fl.size:
-            continue
-        lo = int(fl[0])
-        hi = int(fl[-1]) + 2
-        if buf.size < hi - lo:
-            buf = rad = None  # drop the old buffer first (module docstring)
-            buf = np.empty(hi - lo, dtype=np.int32)
-        rad = buf[:hi - lo]
-        rad.fill(1)
-        for p in base_primes(math.isqrt(hi - 1)).tolist():
-            q = p * p
-            rad[(-lo) % q:: q] *= p
-        for i in range(0, fl.size, _CLASS_CHUNK):
-            idx = fl[i:i + _CLASS_CHUNK] - lo
-            classes.update(zip(rad[idx].tolist(), rad[idx + 1].tolist()))
+        a = 0
+        while a < fl.size:
+            lo = int(fl[a])
+            b = int(np.searchsorted(fl, lo + _RAD_BLOCK - 1))
+            block = fl[a:b]
+            a = b
+            hi = int(block[-1]) + 2
+            if buf.size < hi - lo:
+                buf = rad = None  # drop the old buffer first (module docstring)
+                buf = np.empty(hi - lo, dtype=np.int32)
+            rad = _radicals(lo, hi, buf)
+            idx = block - lo
+            keys = rad[idx].astype(np.int64)
+            keys <<= 32
+            keys |= rad[idx + 1]
+            keys, counts = np.unique(keys, return_counts=True)
+            classes.update(dict(zip(keys.tolist(), counts.tolist())))
 
+    radicals = {key >> 32 for key in classes} | {key & _LOW32 for key in classes}
+    divisors = {r: _square_divisors(r) for r in radicals}
     sigma1 = 0
     sigma2 = 0
-    for (r, s), c in classes.items():
-        for d, sd in _square_divisors(r):
-            for t, st in _square_divisors(s):
+    for key, c in classes.items():
+        for d, sd in divisors[key >> 32]:
+            for t, st in divisors[key & _LOW32]:
                 if d * t <= z:
                     sigma1 += c * sd * st
                 else:

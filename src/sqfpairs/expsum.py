@@ -253,8 +253,16 @@ def erdos_turan_bound(points, H: int, interval) -> BoundReport:
                        rhs=rhs, ratio=lhs / rhs, eps_used=0.0)
 
 
-def beatty_frac_points(alpha: AlgebraicAlpha, K: int, m: int = 1) -> np.ndarray:
-    """The sequence {alpha*k/m} for k = 1..K, as float64 phases."""
+def beatty_frac_points(alpha: AlgebraicAlpha, K: int, m: int = 1,
+                       segment_cap: int = DEFAULT_SEGMENT_CAP) -> np.ndarray:
+    """The sequence {alpha*k/m} for k = 1..K, as float64 phases.
+
+    All K points are held at once (an int64 and a float64 per point), so K
+    above segment_cap raises RangeCapError before anything is allocated.
+    """
     if K < 1:
         raise InvalidRangeError(f"need K >= 1, got K={K}")
+    if K > segment_cap:
+        raise RangeCapError(f"K={K} exceeds the segment cap {segment_cap}; "
+                            "the points are held in memory at once")
     return alpha.frac_parts(1, range(1, K + 1), m)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import sqfpairs
+from sqfpairs.alpha import AlgebraicAlpha
 from sqfpairs.cli import (
     COLUMNS,
     apply_rule,
@@ -211,6 +212,21 @@ def test_out_of_memory_exits_3_naming_segment_cap():
     assert "Traceback" not in proc.stderr
     assert "--segment-cap" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_discrepancy_beyond_segment_cap_exits_3(tmp_path, capsys, monkeypatch):
+    # 1e9 points would need 16 GB; the cap refuses them before any is computed
+    def no_phases(*args, **kwargs):
+        raise AssertionError("frac_parts called")
+
+    monkeypatch.setattr(AlgebraicAlpha, "frac_parts", no_phases)
+    for extra in ((), ("--interval", "0,0.5")):
+        assert run_cli("discrepancy", "--alpha", "sqrt:2", "--n", "1e9", *extra,
+                       "--out", str(tmp_path / "x.csv")) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "segment cap" in err
+    assert run_cli("discrepancy", "--alpha", "sqrt:2", "--n", "1001", "--segment-cap", "1000",
+                   "--out", str(tmp_path / "x.csv")) == 3
 
 
 def test_unwritable_path_exits_4():

@@ -21,7 +21,7 @@ from sqfpairs import (
 from sqfpairs import counting, sieves
 from sqfpairs.counting import sigma_midpoint
 from sqfpairs.errors import ConfigError, InvalidRangeError, NotCoprimeError
-from sqfpairs.sieves import base_primes
+from sqfpairs.sieves import DEFAULT_SEGMENT_CAP, base_primes
 
 
 def test_carlitz_examples():
@@ -110,13 +110,25 @@ def test_congruence_count_equals_crt_route(sqrt2):
         assert direct == via_crt, (d, t)
 
 
+def test_congruence_count_with_squares_beyond_int64():
+    # d*d = 2**80 does not fit int64; only the zero floors of alpha < 1/2
+    # are multiples of it
+    small = parse_alpha("quad:0,1,3,2")
+    scaled = oracles.quad_alpha_bits(0, 1, 3, 2)
+    for d, t in ((2 ** 40, 1), (1, 2 ** 40), (2 ** 40, 3), (3 ** 30, 2 ** 31)):
+        for alpha, bits in ((small, scaled), (parse_alpha("sqrt:2"), oracles.SQRT2_SCALED)):
+            assert congruence_pair_count(alpha, 200, d, t) == \
+                oracles.brute_congruence_count(200, bits, d, t)
+    assert congruence_pair_count(small, 200, 2 ** 40, 1) == 1  # p = 2
+
+
 def test_congruence_count_rejects_shared_factor(sqrt2):
     with pytest.raises(NotCoprimeError):
         congruence_pair_count(sqrt2, 100, 2, 4)
 
 
 def test_decompose_identity_small(sqrt2, golden):
-    # 3e5 puts more primes in one floor window than one class update takes
+    # 3e5 cuts its first floor window into two radical blocks
     for alpha in (sqrt2, golden):
         for N in (10, 200, 1000, 3 * 10 ** 5):
             expected = pair_count(alpha, N).count
@@ -338,3 +350,59 @@ def test_huge_segment_cap_sizes_no_buffer_to_the_cap(sqrt2):
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 19, peak
+
+
+def test_decompose_memory_is_set_by_the_radical_block(golden):
+    # at the default cap the first floor window holds about 4.2e6 cells,
+    # whose int32 radicals would take 16 MiB; one block takes 1 MiB, and
+    # the rest of the peak is the prime and floor stream itself
+    N = 3 * 10 ** 6
+    base_primes(math.isqrt(2 * N) + 1)
+    sigma_midpoint()
+    decompose(golden, 10 ** 4, 5.0)
+    peaks = []
+    for run in (lambda: [None for _ in counting._prime_floors(golden, N, DEFAULT_SEGMENT_CAP)],
+                lambda: decompose(golden, N, N ** 0.3)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    stream, peak = peaks
+    assert peak <= stream + 4 * counting._RAD_BLOCK, (peak, stream)
+    assert peak < stream + DEFAULT_SEGMENT_CAP, (peak, stream)
+
+
+@st.composite
+def decompose_alpha_specs(draw):
+    """Specs with alpha below 1/2, from 1 to 30, or from about 30 to 1e4, plus their oracle bits."""
+    kind = draw(st.sampled_from(("small", "mid", "large")))
+    if kind == "large":
+        return draw(large_alpha_specs())
+    D = draw(st.integers(2, 900))
+    assume(math.isqrt(D) ** 2 != D)
+    if kind == "mid":
+        return f"sqrt:{D}", oracles.quad_alpha_bits(0, 1, 1, D)
+    c = draw(st.integers(2 * math.isqrt(D) + 2, 2 * math.isqrt(D) + 40))  # sqrt(D)/c < 1/2
+    return f"quad:0,1,{c},{D}", oracles.quad_alpha_bits(0, 1, c, D)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec_bits=decompose_alpha_specs(), N=st.integers(2, 1500),
+       block=st.integers(2, 40),
+       cap=st.one_of(st.integers(2, 64), st.integers(2, 2 ** 16)), data=st.data())
+def test_decompose_across_radical_blocks_matches_brute_force(spec_bits, N, block, cap, data):
+    # a block of a few cells puts many block edges into every floor window
+    spec, scaled = spec_bits
+    alpha = _alpha(spec)
+    z_top = (alpha.to_float() * N) ** (2.0 / 3.0)
+    assume(z_top >= 1.0)
+    z = data.draw(st.one_of(
+        st.integers(1, max(1, int(z_top))).map(float),  # on a d*t value
+        st.floats(1.0, z_top)), label="z")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_RAD_BLOCK", block)
+        rep = decompose(alpha, N, z, cap)
+    assert (rep.sigma1, rep.sigma2) == oracles.brute_decompose(N, scaled, z)
+    assert rep.total == rep.sigma1 + rep.sigma2

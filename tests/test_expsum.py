@@ -18,7 +18,8 @@ from sqfpairs import (
     ratio_scan,
     star_discrepancy,
 )
-from sqfpairs.errors import BudgetExceededError, ConfigError, InvalidRangeError
+from sqfpairs.errors import BudgetExceededError, ConfigError, InvalidRangeError, RangeCapError
+from sqfpairs.sieves import DEFAULT_SEGMENT_CAP
 
 # Regression fixtures, frozen from the first run of this implementation.
 EXPSUM_1E5_MODULUS = 32.359302544378
@@ -254,3 +255,19 @@ def test_beatty_frac_points_shape(sqrt2):
     assert isinstance(pts, np.ndarray)
     assert pts.shape == (500,)
     assert pts.min() >= 0.0 and pts.max() < 1.0
+
+
+def test_beatty_frac_points_refuses_k_above_segment_cap(sqrt2, monkeypatch):
+    # all K points are held at once: K above the cap is refused before any
+    # point is computed or allocated
+    assert beatty_frac_points(sqrt2, 10, 36, segment_cap=10).shape == (10,)
+
+    def no_phases(*args, **kwargs):
+        raise AssertionError("frac_parts called")
+
+    monkeypatch.setattr(type(sqrt2), "frac_parts", no_phases)
+    for K, cap in ((11, 10), (DEFAULT_SEGMENT_CAP + 1, DEFAULT_SEGMENT_CAP), (2 ** 30 + 1, 2 ** 30)):
+        with pytest.raises(RangeCapError):
+            beatty_frac_points(sqrt2, K, segment_cap=cap)
+    with pytest.raises(RangeCapError):
+        beatty_frac_points(sqrt2, DEFAULT_SEGMENT_CAP + 1, 36)
