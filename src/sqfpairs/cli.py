@@ -284,7 +284,7 @@ def _run_discrepancy(cfg: ExperimentConfig) -> None:
         H = cfg.h if cfg.h is not None else 100
         for k in _need_n(cfg):
             pts = expsum.beatty_frac_points(alpha, k, m, cfg.segment_cap)
-            rep = expsum.erdos_turan_bound(pts, H, (a, b))
+            rep = expsum.erdos_turan_bound(pts, H, (a, b), cfg.budget)
             rows.append({"K": k, "m": m, "a": a, "b": b, "H": H,
                          "lhs": rep.lhs, "rhs": rep.rhs, "ratio": rep.ratio})
         emit_table(rows, cfg.output_format, cfg.output_path, COLUMNS["discrepancy_et"])

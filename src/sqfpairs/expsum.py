@@ -12,24 +12,29 @@ own complex sum, added to segment by segment exactly as exp_sum_primes does
 (both go through _phase_sum), so the results are deterministic and equal to
 the per-query sums.
 
-_phase_sum evaluates phases, exp and sum over chunks of _PHASE_CHUNK = 4096
-primes of a segment: numpy's pairwise summation within a chunk, the chunk
-sums added in ascending order.  The chunks keep every float64 and complex128
-temporary at 32 or 64 KiB, under glibc's default mmap threshold of 128 KiB,
-so the temporaries reuse warm heap pages.  Whole-segment temporaries of a
-segment of 78498 primes (N = 1e6) are 0.6 to 1.3 MB each; glibc serves
-those with a fresh mmap and page faults, unless some earlier large free
-happened to raise its dynamic threshold.  Once the prime sieve stopped
-freeing an 8 MB array per window, nothing did.  On the CLI's dyadic query
-(sqrt:2, N = 1e6, H = 4, d = t = 2; 2-core VM, one fresh process per run,
-median of 10) wall time went from 0.113 s with the int64 sieve array to
-0.170 s without it; with chunks it reads 0.093 s.  Over 10 alternating
-pairs of 30 s perfbench runs the dyadic workload read 0.120 s before both
-changes and 0.115 s after, peak RSS 40.7 -> 32.1 MiB.
+_phase_sum evaluates phases and e(x) over chunks of _PHASE_CHUNK = 4096
+primes of a segment: _e_sum sums e(x) over a chunk with numpy's pairwise
+summation, and the chunk sums are added in ascending order.  e(x) is a
+table-driven kernel (Tang, ACM TOMS 15, 1989): e(j/K) from a table of
+K + 1 = 4097 entries, built on first use, times a degree-5 polynomial in the
+rest of the phase, at most 1/(2K) of a turn.  Each term is within
+EXP_EPS = 2**-50 of e(x) (the proof is in _e_sum's docstring).  It replaced
+numpy's complex exp, which cost about 60 ns a term.
+
+The chunks keep every temporary at 32 KiB, under glibc's default mmap
+threshold of 128 KiB, so the temporaries reuse warm heap pages; a whole
+segment's temporaries (0.6 MB each at N = 1e6) would each take a fresh mmap
+and its page faults.  Chunks of 8192 (64 KiB temporaries, still under the
+threshold) ran the dyadic CLI query (sqrt:2, N = 1e6, H = 4, d = t = 2;
+2-core VM) in 0.065 s against 0.074 s, the medians of 8 alternating pairs
+of 8 s benchmark runs, but a _phase_sum call then peaks at 641 KiB of traced
+memory against 386 KiB, over the 512 KiB its test allows: frac_parts alone
+peaks at 449 KiB on 8192 primes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -50,10 +55,43 @@ MAX_PHASE_MODULUS = 1 << 40
 #: Per-term phase precision mod 1; AlgebraicAlpha.frac_parts proves 2**-51.
 PHASE_EPS = 1e-15
 
+#: Per-term error of e(x) in _e_sum, proven in its docstring.
+EXP_EPS = 2.0 ** -50
+
 _TWO_PI_I = 2j * np.pi
 
 #: Primes per phase chunk in _phase_sum (see the module docstring).
 _PHASE_CHUNK = 1 << 12
+
+#: Table size of _e_sum: the table holds e(j/_E_K) for j = 0.._E_K.
+_E_K = 1 << 12
+
+
+@functools.cache
+def _e_table() -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2*pi*j/K for j = 0..K, K = _E_K.
+
+    libm evaluates only the first octant, at the angles k*fl(2*pi/K) <= pi/4,
+    which are off from 2*pi*k/K by under 0.78 * 2**-53; every other entry
+    follows exactly from e(1/4 - y) = i*conj(e(y)) and e(y + 1/4) = i*e(y).
+    _e_sum's proof assumes each entry within 2**-52 of its true value; the
+    tests check every entry.  The cached arrays are read-only.
+    """
+    K = _E_K
+    a = np.arange(K // 8 + 1) * (2 * np.pi / K)
+    c, s = np.cos(a), np.sin(a)
+    qc = np.concatenate((c, s[-2::-1]))  # j = 0..K/4
+    qs = np.concatenate((s, c[-2::-1]))
+    cos_j = np.concatenate((qc, -qs[1:], -qc[1:], qs[1:]))
+    sin_j = np.concatenate((qs, qc[1:], -qs[1:], -qc[1:]))
+    cos_j.flags.writeable = sin_j.flags.writeable = False
+    return cos_j, sin_j
+
+
+# Taylor coefficients of cos(2*pi*d/K) - 1 and sin(2*pi*d/K) in d.
+_STEP = 2 * math.pi / _E_K
+_COS2, _COS4 = -_STEP ** 2 / 2, _STEP ** 4 / 24
+_SIN1, _SIN3, _SIN5 = _STEP, -_STEP ** 3 / 6, _STEP ** 5 / 120
 
 
 @dataclass(frozen=True)
@@ -104,12 +142,66 @@ def _check_query(q: ExpSumQuery) -> int:
     return m
 
 
+def _e_sum(x: np.ndarray) -> complex:
+    """Sum of e(x) = exp(2*pi*i*x) over a float64 array x of phases in [0, 1).
+
+    Each term is within EXP_EPS = 2**-50 of e(x); the real and imaginary
+    parts are summed separately by numpy's pairwise sum, in a fixed order.
+
+    Method.  u = x*K is exact (K = 2**12), j = rint(u) lies in 0..K and
+    d = u - j is exact (Sterbenz; d = u when j = 0), |d| <= 1/2.  Then
+    e(x) = T_j * e(d/K) with T_j = e(j/K) from the table, and theta =
+    2*pi*d/K, |theta| <= pi/K, enters only through two polynomials in d:
+    c = cos(theta) - 1 ~ -theta**2/2 + theta**4/24 and
+    s = sin(theta) ~ theta - theta**3/6 + theta**5/120, their coefficients
+    (2*pi/K)**k/k! rounded once.  Each term is
+    (C + (C*c - S*s)) + i*(S + (S*c + C*s)) for T_j = C + i*S, so the leading
+    C and S are added last and never rounded against a 1 + c.
+
+    Error, per term.  (1) Table: |C - cos|, |S - sin| <= 2**-52 per entry
+    (_e_table; checked for all entries), so |T^ - T_j| <= sqrt(2) * 2**-52.
+    (2) Polynomials, with w = e(d/K) - 1 = c + i*s exactly: truncation is
+    under theta**6/720 < 3e-22 for c and theta**7/5040 < 1e-25 for s;
+    the rounded coefficients move s by under |d| * 2**-53 * 2*pi/K < 1e-19
+    (that is the rounding of theta) and c by under 1e-22; evaluating c and s
+    in float64 costs at most 6 roundings relative to each, under
+    6 * 2**-53 * pi/K < 6e-19.  So |w^ - w| < 8e-19 < 2**-60.
+    (3) The product: T^*(1 + w^) differs from T_j*(1 + w) by at most
+    |T^ - T_j| + |T^| * |w^ - w| <= sqrt(2) * 2**-52 + 2**-59.  Forming it
+    rounds C*c, S*s (both under 1e-3) and their difference by under 2**-62
+    each, and the final addition of C (or S) by at most 2**-53, since every
+    part is below 2 in modulus: sqrt(2) * (2**-53 + 2**-60) in all.
+    Total: sqrt(2) * (2**-52 + 2**-53) + 2**-58 < 4.3 * 2**-53 < 2**-50.
+    """
+    u = x * _E_K
+    j = np.rint(u)
+    u -= j
+    j = j.astype(np.intp)
+    t = u * u
+    c = t * _COS4
+    c += _COS2
+    c *= t
+    s = t * _SIN5
+    s += _SIN3
+    s *= t
+    s += _SIN1
+    s *= u
+    cos_j, sin_j = _e_table()
+    C, S = cos_j[j], sin_j[j]
+    re = C * c
+    re -= S * s
+    re += C
+    c *= S
+    c += C * s
+    c += S
+    return complex(re.sum(), c.sum())
+
+
 def _phase_sum(alpha: AlgebraicAlpha, h: int, ps: np.ndarray, m: int) -> complex:
     """Sum of e(alpha*h*p/m) over the primes of one segment, chunk by chunk."""
     total = 0j
     for i in range(0, ps.size, _PHASE_CHUNK):
-        phases = alpha.frac_parts(h, ps[i:i + _PHASE_CHUNK], m)
-        total += complex(np.exp(_TWO_PI_I * phases).sum())
+        total += _e_sum(alpha.frac_parts(h, ps[i:i + _PHASE_CHUNK], m))
     return total
 
 
@@ -117,9 +209,16 @@ def exp_sum_primes(alpha: AlgebraicAlpha, q: ExpSumQuery,
                    segment_cap: int = DEFAULT_SEGMENT_CAP) -> complex:
     """Sum of e(alpha*h*p/(d^2 t^2)) over primes p <= N.
 
-    Each phase is within PHASE_EPS of its true value mod 1, so the
-    accumulated error stays below pi(N) * 2*pi * PHASE_EPS plus the
-    rounding of exp and of the summation.
+    Each phase is within PHASE_EPS of its true value mod 1, which moves
+    e(x) by at most 2*pi*PHASE_EPS, and _e_sum evaluates e(x) to within
+    EXP_EPS, so the terms together are off by at most
+    pi(N) * (2*pi*PHASE_EPS + EXP_EPS), about 7.2e-15 * pi(N).  The
+    summation adds its own rounding.  numpy's pairwise sum takes each term
+    of a chunk (at most 4096 terms) through at most 32 additions (8
+    accumulators over blocks of at most 128, halving above), and the chunk
+    sums then go through one addition per later chunk and segment sum, c of
+    them in all.  Each part of a term is at most 1 + EXP_EPS, so this
+    rounding is under 2**-52 * (32 + c) * pi(N) in modulus.
     """
     m = _check_query(q)
     total = 0j
@@ -227,13 +326,15 @@ def star_discrepancy(points) -> float:
     return float(max((i / K - pts).max(), (pts - (i - 1.0) / K).max()))
 
 
-def erdos_turan_bound(points, H: int, interval) -> BoundReport:
+def erdos_turan_bound(points, H: int, interval,
+                      budget: int = DEFAULT_BUDGET) -> BoundReport:
     """Interval-count deviation vs the truncated weighted exponential sums.
 
     lhs = |#{k: t_k in [a, b)} - K(b-a)|, rhs = K/H + Sum_{h<=H} |S(h)|/h.
     Membership is half-open so the full interval [0, 1) gives lhs = 0 for any
     admissible points.  The recorded ratio is a regression quantity; the true
-    absolute constant is not claimed.
+    absolute constant is not claimed.  The H sums take H*K terms; more than
+    budget raises BudgetExceededError before any term is evaluated.
     """
     pts = _check_points(points)
     a, b = interval
@@ -242,6 +343,11 @@ def erdos_turan_bound(points, H: int, interval) -> BoundReport:
     if H < 1:
         raise InvalidRangeError(f"need H >= 1, got H={H}")
     K = pts.size
+    if H * K > budget:
+        raise BudgetExceededError(
+            f"H*K = {H * K} term evaluations exceed budget {budget}; "
+            "lower H or raise the budget"
+        )
     count = int(np.count_nonzero((pts >= a) & (pts < b)))
     lhs = abs(count - K * (b - a))
     leading = K / H

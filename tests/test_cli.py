@@ -158,6 +158,17 @@ def test_budget_violation_exits_3(tmp_path):
                    "--budget", "10", "--out", str(tmp_path / "x.csv")) == 3
 
 
+def test_erdos_turan_work_beyond_budget_exits_3(tmp_path):
+    out = str(tmp_path / "x.csv")
+    base = ("discrepancy", "--alpha", "sqrt:2", "--n", "1e4", "--interval", "0,0.5")
+    # H*K = 1.01e6 and 1e15 terms against the default budget of 1e6
+    assert run_cli(*base, "--h", "101", "--out", out) == 3
+    assert run_cli(*base, "--h", "101", "--budget", "1010000", "--out", out) == 0
+    start = time.perf_counter()
+    assert run_cli(*base, "--h", "100000000000", "--out", out) == 3
+    assert time.perf_counter() - start < 1.0
+
+
 def test_oversized_dyadic_blocks_exit_3(tmp_path):
     # about 3.3e7 triples against the default budget of 1e6
     assert run_cli("expsum", "--alpha", "sqrt:2", "--n", "1e6", "--H", "fixed:500000",

@@ -2,8 +2,11 @@ import cmath
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqfpairs import (
     DyadicQuery,
@@ -18,7 +21,17 @@ from sqfpairs import (
     ratio_scan,
     star_discrepancy,
 )
+from sqfpairs.alpha import _ONE_BELOW_ONE
 from sqfpairs.errors import BudgetExceededError, ConfigError, InvalidRangeError, RangeCapError
+from sqfpairs.expsum import (
+    _E_K,
+    _PHASE_CHUNK,
+    EXP_EPS,
+    PHASE_EPS,
+    _e_sum,
+    _e_table,
+    _phase_sum,
+)
 from sqfpairs.sieves import DEFAULT_SEGMENT_CAP
 
 # Regression fixtures, frozen from the first run of this implementation.
@@ -138,8 +151,6 @@ def test_dyadic_triples_counted_exactly_for_huge_blocks(sqrt2):
 
 
 def test_phase_sum_memory_stays_in_small_chunks(sqrt2):
-    from sqfpairs.expsum import _phase_sum
-
     ps = primes_in(2, 1_300_000)[:10 ** 5]
     assert ps.size == 10 ** 5
     sqrt2.frac_parts(3, ps[:1], 4)  # warm the cached 128-bit alpha
@@ -150,8 +161,8 @@ def test_phase_sum_memory_stays_in_small_chunks(sqrt2):
     finally:
         tracemalloc.stop()
     assert peak < 512 * 1024, peak
-    # summation order differs from one numpy reduction over the segment; both
-    # err by under log2(n) * 2**-53 per unit term, far below 1e-14 * n
+    # the kernel (within 2**-50 a term) and the chunked summation differ from
+    # numpy's exp and one reduction over the segment by far below 1e-14 * n
     whole = complex(np.exp(2j * np.pi * sqrt2.frac_parts(3, ps, 4)).sum())
     assert abs(chunked - whole) < 1e-14 * ps.size
 
@@ -271,3 +282,80 @@ def test_beatty_frac_points_refuses_k_above_segment_cap(sqrt2, monkeypatch):
             beatty_frac_points(sqrt2, K, segment_cap=cap)
     with pytest.raises(RangeCapError):
         beatty_frac_points(sqrt2, DEFAULT_SEGMENT_CAP + 1, 36)
+
+
+def _e_term_error(x):
+    """|e^(x) - e(x)| for one float phase x, e(x) to 50 digits."""
+    value = _e_sum(np.array([x], dtype=np.float64))
+    with mpmath.workdps(50):
+        exact = mpmath.expjpi(2 * mpmath.mpf(float(x)))
+        return float(abs(mpmath.mpc(value.real, value.imag) - exact))
+
+
+def test_e_table_entries_within_the_assumed_error():
+    # _e_sum's proof assumes every entry within 2**-52 of cos and sin
+    cos_j, sin_j = _e_table()
+    assert cos_j.shape == sin_j.shape == (_E_K + 1,)
+    with mpmath.workdps(50):
+        for j in range(_E_K + 1):
+            angle = 2 * mpmath.pi * j / _E_K
+            assert abs(mpmath.mpf(float(cos_j[j])) - mpmath.cos(angle)) <= 2.0 ** -52, j
+            assert abs(mpmath.mpf(float(sin_j[j])) - mpmath.sin(angle)) <= 2.0 ** -52, j
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=st.floats(0.0, 1.0, exclude_max=True))
+def test_e_sum_term_within_exp_eps(x):
+    assert _e_term_error(x) <= EXP_EPS, x
+
+
+def test_e_sum_term_within_exp_eps_at_table_points_and_ties():
+    edges = [0.0, 1.0 - 2.0 ** -53, _ONE_BELOW_ONE]
+    edges += [j / _E_K for j in range(_E_K)]
+    edges += [(j + 0.5) / _E_K for j in range(_E_K)]
+    worst = max(_e_term_error(x) for x in edges)
+    assert worst <= EXP_EPS, worst
+
+
+@pytest.mark.parametrize("n", [0, 1, _PHASE_CHUNK - 1, _PHASE_CHUNK, _PHASE_CHUNK + 1])
+def test_phase_sum_within_documented_bound(sqrt2, n):
+    # against the exact per-prime sum of e(sqrt(2)*h*p/m), within
+    # n * (2*pi*PHASE_EPS + EXP_EPS) plus the summation rounding that
+    # exp_sum_primes documents (c = the number of chunk sums)
+    h, m = 3, 4
+    ps = primes_in(2, 40_000)[:n]
+    assert ps.size == n
+    with mpmath.workdps(50):
+        beta = mpmath.sqrt(2) * h / m
+        exact = mpmath.fsum(mpmath.expjpi(2 * mpmath.frac(beta * p)) for p in ps.tolist())
+        got = _phase_sum(sqrt2, h, ps, m)
+        err = float(abs(mpmath.mpc(got.real, got.imag) - exact))
+    chunks = -(-n // _PHASE_CHUNK)
+    bound = n * (2 * math.pi * PHASE_EPS + EXP_EPS) + 2.0 ** -52 * (32 + chunks) * n
+    assert err <= bound, (err, bound)
+
+
+@pytest.mark.parametrize("cap", [4095, 4096, 4097, DEFAULT_SEGMENT_CAP])
+def test_dyadic_is_fsum_of_per_query_sums_bit_for_bit(sqrt2, cap):
+    # N = the (k * chunk)-th prime, so pi(N) lands on a chunk multiple
+    ps = primes_in(2, 90_000)
+    for k in (1, 2):
+        N = int(ps[k * _PHASE_CHUNK - 1])
+        per_query = math.fsum(
+            abs(exp_sum_primes(sqrt2, ExpSumQuery(h, 2, 2, N), segment_cap=cap))
+            for h in (3, 4)
+        )
+        assert dyadic_block_sum(sqrt2, DyadicQuery(2, 1, 1, N), segment_cap=cap) == per_query
+
+
+def test_erdos_turan_budget_refuses_before_any_exp(monkeypatch):
+    pts = [0.1 * k for k in range(10)]
+    assert erdos_turan_bound(pts, 100, (0.0, 0.5), budget=1000).rhs > 0.0
+
+    def no_exp(*args, **kwargs):
+        raise AssertionError("exp evaluated")
+
+    monkeypatch.setattr(np, "exp", no_exp)
+    for H, budget in ((101, 1000), (10 ** 11, 10 ** 6)):
+        with pytest.raises(BudgetExceededError):
+            erdos_turan_bound(pts, H, (0.0, 0.5), budget=budget)
