@@ -74,21 +74,6 @@ def _floor_mul_sqrt(y: int, D: int) -> int:
     return s if y > 0 else -s - 1
 
 
-def _split(a):
-    """Dekker's split: a == hi + lo exactly, each half with at most 26 bits."""
-    c = _SPLIT * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _two_product(a, b):
-    """(p, e) with p = fl(a*b) and a*b == p + e exactly; no FMA needed."""
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
 def _divisors(n: int) -> list[int]:
     n = abs(n)
     out = []
@@ -341,12 +326,31 @@ class AlgebraicAlpha:
         B = (self.scaled_floor_bits(128) * h // m) & ((1 << 128) - 1)
         b1 = math.ldexp(B >> 75, -53)
         b2 = math.ldexp((B >> 22) & ((1 << 53) - 1), -106)
+        c = _SPLIT * b1
+        bh = c - (c - b1)
+        bl = b1 - bh
+        # Dekker's two-product of x and b1 in five arrays (x, p, ah, al, e):
+        # ah + al == x exactly, each half with at most 26 bits, and
+        # e = (((ah*bh - p) + ah*bl) + al*bh) + al*bl, so x*b1 == p + e
         x = ns.astype(np.float64)
-        p, e = _two_product(x, b1)
-        p -= np.floor(p)
-        e += x * b2
+        p = x * b1
+        ah = _SPLIT * x
+        al = ah - x
+        ah -= al
+        np.subtract(x, ah, out=al)
+        e = ah * bh
+        e -= p
+        ah *= bl
+        e += ah
+        np.multiply(al, bh, out=ah)
+        e += ah
+        al *= bl
+        e += al
+        p -= np.floor(p, out=al)
+        x *= b2
+        e += x
         p += e
-        p -= np.floor(p)
+        p -= np.floor(p, out=al)
         return np.minimum(p, _ONE_BELOW_ONE, out=p)
 
     # ---- conversions ----
@@ -398,12 +402,12 @@ class AlgebraicAlpha:
         if ns.size and ns.min() < 0:
             raise InvalidRangeError(f"floors_bulk needs n >= 0, got {ns.min()}")
         r = ns * self.to_float()
-        fl = np.floor(r)
-        fr = r - fl
         margin = 256.0 * np.spacing(r.max(initial=0.0)) + 1e-15
-        fr -= 0.5
-        np.abs(fr, out=fr)
-        suspects = np.flatnonzero(fr >= 0.5 - margin)
+        fl = np.floor(r)
+        r -= fl
+        r -= 0.5
+        np.abs(r, out=r)
+        suspects = np.flatnonzero(r >= 0.5 - margin)
         floors = fl.astype(np.int64)
         for i in suspects.tolist():
             floors[i] = self.floor_times(int(ns[i]))

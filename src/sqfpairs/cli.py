@@ -335,6 +335,21 @@ def run(cfg: ExperimentConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--alpha", default="", help="alpha spec: sqrt:D | quad:a,b,c,D | poly:c0,..,ck@lo,hi")
+    common.add_argument("--n", default="", help="comma-separated N list, 1e6 shorthand ok")
+    common.add_argument("--P", default="",
+                        help="Euler product truncation (sigma command)")
+    common.add_argument("--z", default="pow:0.1", help="z rule: pow:x or fixed:v")
+    common.add_argument("--H", default="pow:0.2", help="H rule: pow:x or fixed:v")
+    common.add_argument("--d", type=int, default=1)
+    common.add_argument("--t", type=int, default=1)
+    common.add_argument("--h", default=None)
+    common.add_argument("--interval", default="", help="a,b with 0 <= a < b <= 1")
+    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    common.add_argument("--out", default="-", help="output path, - for stdout")
+    common.add_argument("--segment-cap", default=str(DEFAULT_SEGMENT_CAP))
+    common.add_argument("--budget", default=str(expsum.DEFAULT_BUDGET))
     parser = argparse.ArgumentParser(
         prog="sqfpairs",
         description="Desk-verification experiments for consecutive squarefree "
@@ -342,21 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--alpha", default="", help="alpha spec: sqrt:D | quad:a,b,c,D | poly:c0,..,ck@lo,hi")
-        p.add_argument("--n", default="", help="comma-separated N list, 1e6 shorthand ok")
-        p.add_argument("--P", default="",
-                       help="Euler product truncation (sigma command)")
-        p.add_argument("--z", default="pow:0.1", help="z rule: pow:x or fixed:v")
-        p.add_argument("--H", default="pow:0.2", help="H rule: pow:x or fixed:v")
-        p.add_argument("--d", type=int, default=1)
-        p.add_argument("--t", type=int, default=1)
-        p.add_argument("--h", type=int, default=None)
-        p.add_argument("--interval", default="", help="a,b with 0 <= a < b <= 1")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default="-", help="output path, - for stdout")
-        p.add_argument("--segment-cap", type=int, default=DEFAULT_SEGMENT_CAP)
-        p.add_argument("--budget", type=int, default=expsum.DEFAULT_BUDGET)
+        sub.add_parser(name, parents=[common])
     return parser
 
 
@@ -379,12 +380,12 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         h_rule=args.H,
         output_format=args.format,
         output_path=args.out,
-        segment_cap=args.segment_cap,
-        budget=args.budget,
+        segment_cap=parse_count(args.segment_cap),
+        budget=parse_count(args.budget),
         P=P,
         d=args.d,
         t=args.t,
-        h=args.h,
+        h=parse_count(args.h) if args.h is not None else None,
         interval=interval,
     )
 

@@ -12,7 +12,7 @@ own complex sum, added to segment by segment exactly as exp_sum_primes does
 (both go through _phase_sum), so the results are deterministic and equal to
 the per-query sums.
 
-_phase_sum evaluates phases and e(x) over chunks of _PHASE_CHUNK = 4096
+_phase_sum evaluates phases and e(x) over chunks of _PHASE_CHUNK = 8192
 primes of a segment: _e_sum sums e(x) over a chunk with numpy's pairwise
 summation, and the chunk sums are added in ascending order.  e(x) is a
 table-driven kernel (Tang, ACM TOMS 15, 1989): e(j/K) from a table of
@@ -21,15 +21,16 @@ rest of the phase, at most 1/(2K) of a turn.  Each term is within
 EXP_EPS = 2**-50 of e(x) (the proof is in _e_sum's docstring).  It replaced
 numpy's complex exp, which cost about 60 ns a term.
 
-The chunks keep every temporary at 32 KiB, under glibc's default mmap
+The chunks keep every temporary at 64 KiB, under glibc's default mmap
 threshold of 128 KiB, so the temporaries reuse warm heap pages; a whole
 segment's temporaries (0.6 MB each at N = 1e6) would each take a fresh mmap
-and its page faults.  Chunks of 8192 (64 KiB temporaries, still under the
-threshold) ran the dyadic CLI query (sqrt:2, N = 1e6, H = 4, d = t = 2;
-2-core VM) in 0.065 s against 0.074 s, the medians of 8 alternating pairs
-of 8 s benchmark runs, but a _phase_sum call then peaks at 641 KiB of traced
-memory against 386 KiB, over the 512 KiB its test allows: frac_parts alone
-peaks at 449 KiB on 8192 primes.
+and its page faults.  Both kernels work in place (frac_parts holds at most
+five chunk-sized float64 arrays at once, _e_sum six, its input included),
+so a _phase_sum call peaks at about 395 KB of traced memory.  Much of the
+cost of a chunk is a fixed cost per numpy call: with chunks of 8192 instead
+of 4096 primes the dyadic CLI query (sqrt:2, N = 1e6, H = 4, d = t = 2;
+2-core VM) ran in 0.051 s against 0.072 s, the medians of 11 alternating
+pairs of 8 s benchmark runs.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ EXP_EPS = 2.0 ** -50
 _TWO_PI_I = 2j * np.pi
 
 #: Primes per phase chunk in _phase_sum (see the module docstring).
-_PHASE_CHUNK = 1 << 12
+_PHASE_CHUNK = 1 << 13
 
 #: Table size of _e_sum: the table holds e(j/_E_K) for j = 0.._E_K.
 _E_K = 1 << 12
@@ -145,8 +146,9 @@ def _check_query(q: ExpSumQuery) -> int:
 def _e_sum(x: np.ndarray) -> complex:
     """Sum of e(x) = exp(2*pi*i*x) over a float64 array x of phases in [0, 1).
 
-    Each term is within EXP_EPS = 2**-50 of e(x); the real and imaginary
-    parts are summed separately by numpy's pairwise sum, in a fixed order.
+    x is scratch: the kernel works in place and overwrites it.  Each term
+    is within EXP_EPS = 2**-50 of e(x); the real and imaginary parts are
+    summed separately by numpy's pairwise sum, in a fixed order.
 
     Method.  u = x*K is exact (K = 2**12), j = rint(u) lies in 0..K and
     d = u - j is exact (Sterbenz; d = u when j = 0), |d| <= 1/2.  Then
@@ -173,11 +175,12 @@ def _e_sum(x: np.ndarray) -> complex:
     part is below 2 in modulus: sqrt(2) * (2**-53 + 2**-60) in all.
     Total: sqrt(2) * (2**-52 + 2**-53) + 2**-58 < 4.3 * 2**-53 < 2**-50.
     """
-    u = x * _E_K
-    j = np.rint(u)
-    u -= j
-    j = j.astype(np.intp)
-    t = u * u
+    u = x
+    u *= _E_K
+    t = np.rint(u)
+    u -= t
+    j = t.astype(np.intp)
+    np.multiply(u, u, out=t)
     c = t * _COS4
     c += _COS2
     c *= t
@@ -187,12 +190,17 @@ def _e_sum(x: np.ndarray) -> complex:
     s += _SIN1
     s *= u
     cos_j, sin_j = _e_table()
-    C, S = cos_j[j], sin_j[j]
+    # j lies in 0..K, so mode="clip" never clips; it spares take a buffer
+    C = np.take(cos_j, j, out=t, mode="clip")
+    S = np.take(sin_j, j, out=u, mode="clip")
+    del j
     re = C * c
-    re -= S * s
+    tmp = S * s
+    re -= tmp
     re += C
     c *= S
-    c += C * s
+    np.multiply(C, s, out=tmp)
+    c += tmp
     c += S
     return complex(re.sum(), c.sum())
 
@@ -214,11 +222,16 @@ def exp_sum_primes(alpha: AlgebraicAlpha, q: ExpSumQuery,
     EXP_EPS, so the terms together are off by at most
     pi(N) * (2*pi*PHASE_EPS + EXP_EPS), about 7.2e-15 * pi(N).  The
     summation adds its own rounding.  numpy's pairwise sum takes each term
-    of a chunk (at most 4096 terms) through at most 32 additions (8
-    accumulators over blocks of at most 128, halving above), and the chunk
-    sums then go through one addition per later chunk and segment sum, c of
-    them in all.  Each part of a term is at most 1 + EXP_EPS, so this
-    rounding is under 2**-52 * (32 + c) * pi(N) in modulus.
+    of a chunk (at most 8192 terms) through at most 32 additions: a block
+    of at most 128 terms goes to 8 accumulators of k terms each and r < 8
+    leftovers (8k + r <= 128), so a term sees at most k - 1 accumulator
+    additions, 3 tree levels and r leftover additions, (k - 1) + 3 + r <= 24
+    in all; at most 7 halvings (size n to at most n/2 + 8) lead from 8192
+    terms down to such a block, and the reduction may add its first term
+    once more.  The chunk sums then go through one addition per later chunk
+    and segment sum, c of them in all.  Each part of a term is at most
+    1 + EXP_EPS, so this rounding is under 2**-52 * (32 + c) * pi(N) in
+    modulus.
     """
     m = _check_query(q)
     total = 0j

@@ -1,14 +1,16 @@
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sqfpairs import AlgebraicAlpha, parse_alpha
-from sqfpairs.alpha import MAX_H
+from sqfpairs import AlgebraicAlpha, parse_alpha, primes_in
+from sqfpairs.alpha import _ONE_BELOW_ONE, MAX_H
 from sqfpairs.errors import (
     AlphaParseError,
     ConfigError,
@@ -259,6 +261,54 @@ def test_frac_parts_property_matches_oracle(spec, h, m, ns):
     assert _worst_phase_error(_alpha(spec), h, ns, m) < PHASE_EPS
 
 
+def _dekker_frac_parts(alpha, h, ns, m):
+    """frac_parts as first written: Dekker's split and two-product, with
+    fresh temporaries; the in-place kernel must match it bit for bit."""
+    def split(a):
+        c = 134217729.0 * a
+        hi = c - (c - a)
+        return hi, a - hi
+
+    B = (alpha.scaled_floor_bits(128) * h // m) & ((1 << 128) - 1)
+    b1 = math.ldexp(B >> 75, -53)
+    b2 = math.ldexp((B >> 22) & ((1 << 53) - 1), -106)
+    x = np.asarray(ns, dtype=np.int64).astype(np.float64)
+    p = x * b1
+    ah, al = split(x)
+    bh, bl = split(b1)
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    p -= np.floor(p)
+    e += x * b2
+    p += e
+    p -= np.floor(p)
+    return np.minimum(p, _ONE_BELOW_ONE, out=p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=alpha_specs(), h=st.integers(1, MAX_H), m=st.integers(1, MAX_PHASE_MODULUS - 1),
+       ns=st.lists(st.one_of(st.integers(0, GLOBAL_MAX),
+                             st.integers(GLOBAL_MAX - 2 ** 20, GLOBAL_MAX)),
+                   min_size=1, max_size=40))
+def test_frac_parts_bit_identical_to_dekker_oracle(spec, h, m, ns):
+    alpha = _alpha(spec)
+    got = alpha.frac_parts(h, ns, m)
+    want = _dekker_frac_parts(alpha, h, ns, m)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_frac_parts_memory_stays_within_six_arrays(sqrt2):
+    ps = primes_in(2, 90_000)[:8192]
+    assert ps.size == 8192
+    sqrt2.frac_parts(3, ps[:1], 4)  # warm the cached 128-bit alpha
+    tracemalloc.start()
+    try:
+        sqrt2.frac_parts(3, ps, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * ps.size, peak
+
+
 @settings(max_examples=200, deadline=None)
 @given(spec=alpha_specs(), data=st.data())
 def test_floors_bulk_property_matches_floor_times(spec, data):
@@ -277,8 +327,6 @@ def test_huge_poly_coefficients_are_refused_before_the_root_test():
 
 
 def test_floors_bulk_matches_exact(sqrt2, golden, poly_sqrt2):
-    import numpy as np
-
     ns = np.array(list(range(3000)) + [10 ** 7 + 7, 123456789], dtype=np.int64)
     for alpha in (sqrt2, golden, poly_sqrt2):
         bulk = alpha.floors_bulk(ns)
@@ -320,8 +368,6 @@ def test_floors_bulk_at_convergent_denominators(spec):
 
 
 def test_floors_bulk_empty_and_unsorted(sqrt2, poly_sqrt2):
-    import numpy as np
-
     for alpha in (sqrt2, poly_sqrt2):
         empty = alpha.floors_bulk([])
         assert empty.dtype == np.int64 and empty.shape == (0,)

@@ -11,7 +11,11 @@ import sqfpairs
 from sqfpairs.alpha import AlgebraicAlpha
 from sqfpairs.cli import (
     COLUMNS,
+    COMMANDS,
+    ExperimentConfig,
     apply_rule,
+    build_parser,
+    config_from_args,
     emit_table,
     main,
     parse_count,
@@ -167,6 +171,30 @@ def test_erdos_turan_work_beyond_budget_exits_3(tmp_path):
     start = time.perf_counter()
     assert run_cli(*base, "--h", "100000000000", "--out", out) == 3
     assert time.perf_counter() - start < 1.0
+
+
+def test_count_options_take_decimal_shorthand(tmp_path):
+    # --budget, --segment-cap and --h read numbers as --n and --P do
+    cases = (
+        (("discrepancy", "--alpha", "sqrt:2", "--n", "1e4", "--interval", "0,0.5",
+          "--h", "101", "--budget"), "1.01e6", "1010000"),
+        (("pairs", "--alpha", "sqrt:2", "--n", "1e4", "--segment-cap"), "1e3", "1000"),
+        (("expsum", "--alpha", "sqrt:2", "--n", "1000", "--d", "2", "--h"), "2e0", "2"),
+    )
+    for argv, short, plain in cases:
+        outs = []
+        for value in (short, plain):
+            out = tmp_path / f"{argv[0]}-{value}.csv"
+            assert run_cli(*argv, value, "--out", str(out)) == 0, (argv[-1], value)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1], argv[-1]
+        assert run_cli(*argv, "2.5", "--out", str(tmp_path / "x.csv")) == 2, argv[-1]
+
+
+def test_every_command_parses_to_the_default_config():
+    parser = build_parser()
+    for name in COMMANDS:
+        assert config_from_args(parser.parse_args([name])) == ExperimentConfig(command=name)
 
 
 def test_oversized_dyadic_blocks_exit_3(tmp_path):

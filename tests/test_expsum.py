@@ -24,8 +24,13 @@ from sqfpairs import (
 from sqfpairs.alpha import _ONE_BELOW_ONE
 from sqfpairs.errors import BudgetExceededError, ConfigError, InvalidRangeError, RangeCapError
 from sqfpairs.expsum import (
+    _COS2,
+    _COS4,
     _E_K,
     _PHASE_CHUNK,
+    _SIN1,
+    _SIN3,
+    _SIN5,
     EXP_EPS,
     PHASE_EPS,
     _e_sum,
@@ -317,13 +322,49 @@ def test_e_sum_term_within_exp_eps_at_table_points_and_ties():
     assert worst <= EXP_EPS, worst
 
 
-@pytest.mark.parametrize("n", [0, 1, _PHASE_CHUNK - 1, _PHASE_CHUNK, _PHASE_CHUNK + 1])
+def _e_sum_with_fresh_temporaries(x):
+    """_e_sum as first written, each step into a new array; the in-place
+    kernel must match it bit for bit."""
+    u = x * _E_K
+    j = np.rint(u)
+    u -= j
+    j = j.astype(np.intp)
+    t = u * u
+    c = t * _COS4
+    c += _COS2
+    c *= t
+    s = t * _SIN5
+    s += _SIN3
+    s *= t
+    s += _SIN1
+    s *= u
+    cos_j, sin_j = _e_table()
+    C, S = cos_j[j], sin_j[j]
+    re = C * c
+    re -= S * s
+    re += C
+    c *= S
+    c += C * s
+    c += S
+    return complex(re.sum(), c.sum())
+
+
+@pytest.mark.parametrize("n", [1, 8191, 8192, 8193])
+def test_e_sum_bit_identical_to_fresh_temporaries(n):
+    x = np.random.default_rng(n).random(n)
+    x[:3] = (0.0, _ONE_BELOW_ONE, 0.5 / _E_K)[:n]
+    want = _e_sum_with_fresh_temporaries(x)
+    assert _e_sum(x.copy()) == want
+
+
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097,
+                               _PHASE_CHUNK - 1, _PHASE_CHUNK, _PHASE_CHUNK + 1])
 def test_phase_sum_within_documented_bound(sqrt2, n):
     # against the exact per-prime sum of e(sqrt(2)*h*p/m), within
     # n * (2*pi*PHASE_EPS + EXP_EPS) plus the summation rounding that
     # exp_sum_primes documents (c = the number of chunk sums)
     h, m = 3, 4
-    ps = primes_in(2, 40_000)[:n]
+    ps = primes_in(2, 90_000)[:n]
     assert ps.size == n
     with mpmath.workdps(50):
         beta = mpmath.sqrt(2) * h / m
@@ -335,10 +376,10 @@ def test_phase_sum_within_documented_bound(sqrt2, n):
     assert err <= bound, (err, bound)
 
 
-@pytest.mark.parametrize("cap", [4095, 4096, 4097, DEFAULT_SEGMENT_CAP])
+@pytest.mark.parametrize("cap", [4095, 4096, 4097, 8191, 8192, 8193, DEFAULT_SEGMENT_CAP])
 def test_dyadic_is_fsum_of_per_query_sums_bit_for_bit(sqrt2, cap):
     # N = the (k * chunk)-th prime, so pi(N) lands on a chunk multiple
-    ps = primes_in(2, 90_000)
+    ps = primes_in(2, 200_000)
     for k in (1, 2):
         N = int(ps[k * _PHASE_CHUNK - 1])
         per_query = math.fsum(
