@@ -260,12 +260,8 @@ def _run_expsum(cfg: ExperimentConfig) -> None:
                          "real": s.real, "imag": s.imag, "modulus": abs(s)})
         emit_table(rows, cfg.output_format, cfg.output_path, COLUMNS["expsum_single"])
         return
-    try:
-        D, T = float(cfg.d), float(cfg.t)
-    except OverflowError:
-        raise RangeCapError(f"--d and --t must be at most {sys.float_info.max:.6g}") from None
     for n in _need_n(cfg):
-        q = expsum.DyadicQuery(H=apply_rule(cfg.h_rule, n), D=D, T=T, N=n)
+        q = expsum.DyadicQuery(H=apply_rule(cfg.h_rule, n), D=float(cfg.d), T=float(cfg.t), N=n)
         rep = expsum.dyadic_bound_rhs(q, DYADIC_EPS)
         lhs = expsum.dyadic_block_sum(alpha, q, cfg.budget, cfg.segment_cap)
         t1, t2, t3, t4 = rep.rhs_terms
@@ -342,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Euler product truncation (sigma command)")
     common.add_argument("--z", default="pow:0.1", help="z rule: pow:x or fixed:v")
     common.add_argument("--H", default="pow:0.2", help="H rule: pow:x or fixed:v")
-    common.add_argument("--d", type=int, default=1)
-    common.add_argument("--t", type=int, default=1)
+    common.add_argument("--d", default="1", help="modulus factor d, 1e3 shorthand ok")
+    common.add_argument("--t", default="1", help="modulus factor t, 1e3 shorthand ok")
     common.add_argument("--h", default=None)
     common.add_argument("--interval", default="", help="a,b with 0 <= a < b <= 1")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -359,6 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         sub.add_parser(name, parents=[common])
     return parser
+
+
+def _parse_modulus_factor(token: str) -> int:
+    """--d or --t through parse_count, whose digit limit also keeps float(d) finite."""
+    try:
+        return parse_count(token)
+    except RangeCapError:
+        raise RangeCapError(f"--d and --t must be at most {_MAX_COUNT_DIGITS} digits long") from None
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -383,8 +387,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         segment_cap=parse_count(args.segment_cap),
         budget=parse_count(args.budget),
         P=P,
-        d=args.d,
-        t=args.t,
+        d=_parse_modulus_factor(args.d),
+        t=_parse_modulus_factor(args.t),
         h=parse_count(args.h) if args.h is not None else None,
         interval=interval,
     )
@@ -413,3 +417,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -4,18 +4,19 @@ Counts are exact integers throughout; the only floating step is the final
 comparison against the density prediction, so observed convergence can never
 be a rounding artifact.  Every count over primes reads one stream of
 (primes, floors) segments.  Each segment holds the primes of one block of w
-values, w sized from alpha so that its floor window [fl[0], fl[-1] + 2),
-holding every m = [alpha*p] and m + 1, spans at most segment_cap cells: one
-squarefree sieve call covers it.  The primes themselves are sieved in wider
-windows of a whole number of blocks, up to min(segment_cap, _PRIME_WINDOW)
-values whatever alpha is, and cut back into the blocks, so a large alpha does
-not pay a sieve call per tiny block.  A count flags its floor windows into one
-buffer of its own, grown to the largest window it meets, so memory stays
-bounded by the segment cap for every alpha.  A grown buffer is allocated only
-after every reference to the old one is dropped: allocated while the old one
-lives, glibc's malloc can place it above the old one on the heap, and the
-freed old buffer then stays resident (peak RSS rose 4 MiB on a pair count at
-alpha near 31, N = 3e7).
+values, w at most _PRIME_WINDOW and sized from alpha so that its floor window
+[fl[0], fl[-1] + 2), holding every m = [alpha*p] and m + 1, spans at most
+segment_cap cells: one squarefree sieve call covers it.  The primes
+themselves are sieved in windows of a whole number of blocks, at most
+min(segment_cap, _PRIME_WINDOW) values whatever alpha is (512 KiB of odd
+cells, which stay in cache while the base primes strike them), and cut back
+into the blocks, so a large alpha does not pay a sieve call per tiny block.
+A count flags its floor windows into one buffer of its own, grown to the
+largest window it meets, so memory stays bounded by the segment cap for every
+alpha.  A grown buffer is allocated only after every reference to the old one
+is dropped: allocated while the old one lives, glibc's malloc can place it
+above the old one on the heap, and the freed old buffer then stays resident
+(peak RSS rose 4 MiB on a pair count at alpha near 31, N = 3e7).
 
 decompose reads the radicals of its floor windows instead of flags.  It cuts
 each window into blocks of at most _RAD_BLOCK cells (1 MiB of int32, which
@@ -50,7 +51,7 @@ from .sieves import (
 #: Truncation used for the density midpoint entering predictions.
 SIGMA_PRODUCT_LIMIT = 10 ** 6
 
-#: Prime-window width aimed at: whole floor blocks up to min(segment_cap, this), at least one.
+#: Widest prime window, and widest floor block: whole blocks up to min(segment_cap, this).
 _PRIME_WINDOW = 1 << 20
 
 #: Floor-window cells per radical block in decompose (module docstring).
@@ -124,19 +125,24 @@ def _prime_floors(alpha: AlgebraicAlpha, N: int, segment_cap: int):
     by at most w - 1, so the floor window [fl[0], fl[-1] + 2) has fewer than
     alpha*(w - 1) + 3 <= segment_cap cells; w = 1 gives 2 cells.
 
+    w is also at most _PRIME_WINDOW, so a small alpha's block, which the cap
+    alone would make up to segment_cap/alpha values wide, is cut to a
+    cache-sized window too; a narrower block only narrows its floor window.
+
     The primes are sieved, and their floors taken, in prime windows of
     W = k*w values, k = max(1, min(segment_cap, _PRIME_WINDOW) // w), so
-    W <= segment_cap.  Prime window i is [2 + i*W, 2 + (i + 1)*W), exactly
-    blocks i*k to i*k + k - 1, and it is cut back into them at the primes
-    whose block index (p - 2 - i*W) // w differs from their predecessor's:
-    the blocks, and so the floor windows, are the same for every k.  For
-    alpha below about 4 at the default cap, w >= _PRIME_WINDOW and k = 1.
+    W <= min(segment_cap, _PRIME_WINDOW).  Prime window i is
+    [2 + i*W, 2 + (i + 1)*W), exactly blocks i*k to i*k + k - 1, and it is
+    cut back into them at the primes whose block index (p - 2 - i*W) // w
+    differs from their predecessor's: the blocks, and so the floor windows,
+    are the same for every k.  For alpha below about 4 at the default cap,
+    w = _PRIME_WINDOW and k = 1.
     """
     _check_n(alpha, N)
     if segment_cap < 2:
         raise ConfigError("segment cap must be at least 2")
     A = alpha.scaled_floor_bits(32)
-    w = max(1, min(segment_cap, ((segment_cap - 3) << 32) // (A + 1) + 1))
+    w = max(1, min(segment_cap, _PRIME_WINDOW, ((segment_cap - 3) << 32) // (A + 1) + 1))
     W = w * max(1, min(segment_cap, _PRIME_WINDOW) // w)
     return _floor_blocks(alpha, N, w, W)
 
@@ -188,8 +194,12 @@ def _count_over_primes(alpha: AlgebraicAlpha, N: int, pair: bool, segment_cap: i
             buf = None  # drop the old buffer first (module docstring)
             buf = np.empty(hi - lo, dtype=bool)
         squarefree_flags(lo, hi, segment_cap, out=buf)
+        # every index lies in [0, hi - lo), so "clip" only skips the bounds check
         idx = fl - lo
-        hit = buf[idx] & buf[idx + 1] if pair else buf[idx]
+        hit = np.take(buf, idx, mode="clip")
+        if pair:
+            idx += 1
+            hit &= np.take(buf, idx, mode="clip")
         count += int(np.count_nonzero(hit))
     return count, pi_n
 

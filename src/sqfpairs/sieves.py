@@ -7,10 +7,14 @@ regrown when a larger window is requested; the cache grows monotonically and
 updates are idempotent, so concurrent readers are safe.
 
 The prime channel sieves odd values only: one bool cell per odd value of
-[lo, hi), cell j standing for (lo | 1) + 2j.  Each base prime p >= 3 strikes
-every p-th cell from its first odd multiple >= max(p*p, lo); 1 is cleared.
-The segment keeps these odd cells and spreads them into the positional
-is_prime array (with 2 set by hand) only when is_prime is first read.  The
+[lo, hi), cell j standing for (lo | 1) + 2j.  The cells start from a wheel:
+a fixed two-period pattern of the odd multiples of 3, 5, 7, 11 and 13
+(period 15015 cells, 30 KB) is copied from the window's phase and doubled in
+place, and those five primes are set back where they lie in the window.
+Each base prime p >= 17 then strikes every p-th cell from its first odd
+multiple >= max(p*p, lo), the starts computed in one array expression; 1 is
+cleared.  The segment keeps these odd cells and spreads them into the
+positional is_prime array (with 2 set by hand) only when is_prime is first read.  The
 prime stream, iter_prime_segments, never reads it: it takes the primes
 straight from the odd cells as first_odd + 2*j, so a streamed window costs
 half a byte a value plus its primes, with no spread and no second nonzero
@@ -68,6 +72,20 @@ for _q in (4, 9, 25, 49):
     _WHEEL[::_q] = False
 _WHEEL.flags.writeable = False
 del _q
+
+#: The primes the prime channel's odd-cell wheel strikes; larger base primes strike a slice each.
+_ODD_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+
+#: Period of the odd-cell wheel in odd cells (30030 in values).
+_ODD_WHEEL_PERIOD = 3 * 5 * 7 * 11 * 13
+
+#: Two odd-cell wheel periods (30 KB): cell g stands for the odd value 2g + 1,
+#: False where one of 3..13 divides it (those primes included).
+_ODD_WHEEL = np.ones(2 * _ODD_WHEEL_PERIOD, dtype=bool)
+for _p in _ODD_WHEEL_PRIMES:
+    _ODD_WHEEL[(_p - 1) >> 1:: _p] = False
+_ODD_WHEEL.flags.writeable = False
+del _p
 
 #: Cells per wheel-fill block: the block stays in L2 while the small squares strike it.
 _SQF_BLOCK = 1 << 19
@@ -179,16 +197,7 @@ def sieve_segment(
     mu = odd = tau = None
 
     if "prime" in wanted:
-        first_odd = lo | 1
-        odd = np.ones((hi - first_odd + 1) // 2, dtype=bool)
-        for p in bps[1:].tolist():
-            start = max(p * p, _first_multiple(lo, p))
-            if not start & 1:
-                start += p
-            if start < hi:
-                odd[(start - first_odd) >> 1:: p] = False
-        if first_odd == 1 and odd.size:
-            odd[0] = False
+        odd = _odd_prime_cells(lo, hi, bps)
 
     if "mu" in wanted:
         sign = np.ones(n, dtype=np.int8)
@@ -236,6 +245,52 @@ def sieve_segment(
     return SieveSegment(lo=lo, hi=hi, mu=mu, tau=tau, _odd=odd)
 
 
+def _tile(out: np.ndarray, wheel: np.ndarray, phase: int, period: int) -> None:
+    """Fill out from wheel (two periods) at phase: one period copied, then doubled in place.
+
+    Each copy repeats the filled prefix, whose length stays a multiple of
+    the period until the last, partial copy.
+    """
+    n = out.size
+    done = min(period, n)
+    out[:done] = wheel[phase:phase + done]
+    while done < n:
+        k = min(done, n - done)
+        out[done:done + k] = out[:k]
+        done += k
+
+
+def _odd_prime_cells(lo: int, hi: int, bps: np.ndarray) -> np.ndarray:
+    """The prime channel's odd cells of [lo, hi): cell j is True where (lo | 1) + 2j is prime.
+
+    bps holds the primes up to sqrt(hi - 1).  The cells are filled from the
+    odd-cell wheel at the phase ((lo | 1) - 1) // 2 mod 15015 and doubled in
+    place, the wheel primes 3..13 in the window are set back, and each base
+    prime p >= 17 strikes every p-th cell from its first odd multiple
+    >= max(p*p, lo); 1 is cleared.
+    """
+    first_odd = lo | 1
+    n = (hi - first_odd + 1) // 2
+    odd = np.empty(n, dtype=bool)
+    _tile(odd, _ODD_WHEEL, ((first_odd - 1) >> 1) % _ODD_WHEEL_PERIOD, _ODD_WHEEL_PERIOD)
+    for p in _ODD_WHEEL_PRIMES:
+        if first_odd <= p < hi:
+            odd[(p - first_odd) >> 1] = True
+    if first_odd == 1 and n:
+        odd[0] = False
+    ps = bps[int(np.searchsorted(bps, _ODD_WHEEL_PRIMES[-1], side="right")):]
+    # the first odd multiple of p >= lo: ceil(lo / p), made odd, times p
+    starts = -(-lo // ps)
+    starts |= 1
+    starts *= ps
+    np.maximum(starts, ps * ps, out=starts)
+    starts -= first_odd
+    starts >>= 1
+    for start, p in zip(starts.tolist(), ps.tolist()):
+        odd[start::p] = False
+    return odd
+
+
 def squarefree_flags(lo: int, hi: int, segment_cap: int = DEFAULT_SEGMENT_CAP,
                      out: Optional[np.ndarray] = None) -> np.ndarray:
     """Boolean array over [lo, hi): True where the value is squarefree.
@@ -279,13 +334,7 @@ def squarefree_flags(lo: int, hi: int, segment_cap: int = DEFAULT_SEGMENT_CAP,
         flags = out[:n]
     for b in range(0, n, _SQF_BLOCK):
         e = min(b + _SQF_BLOCK, n)
-        done = min(_WHEEL_PERIOD, e - b)
-        phase = (lo + b) % _WHEEL_PERIOD
-        flags[b:b + done] = _WHEEL[phase:phase + done]
-        while b + done < e:
-            k = min(done, e - b - done)
-            flags[b + done:b + done + k] = flags[b:b + k]
-            done += k
+        _tile(flags[b:e], _WHEEL, (lo + b) % _WHEEL_PERIOD, _WHEEL_PERIOD)
         for q in _BLOCK_SQUARES:
             start = b + (-(lo + b)) % q
             if start < e:

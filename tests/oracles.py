@@ -76,6 +76,17 @@ def primes_to(N):
     return [p for p in range(2, N + 1) if is_prime(p)]
 
 
+def primes_between(lo, hi):
+    """The primes in [lo, hi): a plain bytearray sieve by every prime up to sqrt(hi - 1)."""
+    flags = bytearray([1]) * (hi - lo)
+    for n in range(lo, min(hi, 2)):  # 0 and 1 are not prime
+        flags[n - lo] = 0
+    for p in primes_to(math.isqrt(hi - 1)):
+        start = max(p * p, -(-lo // p) * p)
+        flags[start - lo:: p] = bytes(len(range(start, hi, p)))
+    return [lo + i for i, f in enumerate(flags) if f]
+
+
 # ---- fixed-precision floors: the "256-bit floating" oracle ----
 
 def quad_alpha_bits(a, b, c, D, bits=ORACLE_BITS):

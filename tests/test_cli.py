@@ -191,6 +191,41 @@ def test_count_options_take_decimal_shorthand(tmp_path):
         assert run_cli(*argv, "2.5", "--out", str(tmp_path / "x.csv")) == 2, argv[-1]
 
 
+def test_d_and_t_take_decimal_shorthand(tmp_path, capsys):
+    # --d and --t read numbers as the other count options do, in the dyadic
+    # and the single-h mode of expsum
+    base = ("expsum", "--alpha", "sqrt:2", "--n", "1000")
+    for flag in ("--d", "--t"):
+        for extra in ((), ("--h", "3")):
+            outs = []
+            for value in ("2e0", "2"):
+                out = tmp_path / f"{flag}-{value}.csv"
+                assert run_cli(*base, *extra, flag, value, "--out", str(out)) == 0, (flag, value)
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1], (flag, extra)
+            assert run_cli(*base, *extra, flag, "2.5", "--out", str(tmp_path / "x.csv")) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _run_module(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(sqfpairs.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_package_and_cli_modules_run_as_main():
+    # python -m sqfpairs and python -m sqfpairs.cli both run the command line
+    expected = None
+    for module in ("sqfpairs", "sqfpairs.cli"):
+        proc = _run_module(module, "pairs", "--alpha", "sqrt:2", "--n", "1e4")
+        assert proc.returncode == 0, (module, proc.stderr[-2000:])
+        assert proc.stdout.startswith("N,count,pi_N,"), (module, proc.stdout)
+        expected = expected or proc.stdout
+        assert proc.stdout == expected
+    proc = _run_module("sqfpairs", "pairs", "--n", "1e4")
+    assert proc.returncode == 2 and "requires --alpha" in proc.stderr
+
+
 def test_every_command_parses_to_the_default_config():
     parser = build_parser()
     for name in COMMANDS:
@@ -234,8 +269,11 @@ def test_huge_poly_constant_term_exits_3_promptly(tmp_path, capsys):
 
 
 def test_out_of_memory_exits_3_naming_segment_cap():
-    # a child process with a 1 GiB address-space limit asks for a 1.3 GiB
-    # sieve window; the limit is set in the child only
+    # a child process with a 1 GiB address-space limit asks for a flag
+    # window of about 4e9 cells: at alpha = sqrt(123456789) ~ 11111 the floor
+    # block is w ~ 4e9 / alpha ~ 3.6e5 primes wide, below the 2**20 prime
+    # window, so the cap alone sets the window; the limit is set in the
+    # child only
     resource = pytest.importorskip("resource")
 
     def limit_memory():
@@ -245,7 +283,7 @@ def test_out_of_memory_exits_3_naming_segment_cap():
                OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from sqfpairs.cli import main; sys.exit(main())",
-         "pairs", "--alpha", "sqrt:2", "--n", "3e9", "--segment-cap", "4000000000"],
+         "pairs", "--alpha", "sqrt:123456789", "--n", "1e6", "--segment-cap", "4e9"],
         env=env, preexec_fn=limit_memory, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 3, proc.stderr[-2000:]
     assert "Traceback" not in proc.stderr

@@ -2,6 +2,7 @@ import functools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -352,14 +353,49 @@ def test_huge_segment_cap_sizes_no_buffer_to_the_cap(sqrt2):
         assert peak < 2 ** 19, peak
 
 
+def test_counts_agree_with_floor_blocks_below_at_and_above_the_prime_window():
+    # for sqrt:2 the floor block is w = min(cap, 2**20, w_alpha), with
+    # w_alpha = ((cap - 3) << 32) // (A + 1) + 1 ~ cap / alpha.  A cap of
+    # 2**20 puts w_alpha below 2**20, cap_at is the smallest cap at which it
+    # reaches 2**20, and the default cap (w_alpha ~ 2.97e6) puts it above,
+    # where the prime window caps it
+    alpha = parse_alpha("sqrt:2")
+    N = 5 * 10 ** 6
+    window = counting._PRIME_WINDOW
+    cap_at = 3 - (-(window - 1) * (alpha.scaled_floor_bits(32) + 1) >> 32)
+    results = set()
+    for cap in (1 << 20, cap_at - 1, cap_at, DEFAULT_SEGMENT_CAP):
+        for ps, fl in counting._prime_floors(alpha, N, cap):
+            assert ps[-1] - ps[0] < min(cap, window) and fl[-1] + 2 - fl[0] <= cap, cap
+        rep = pair_count(alpha, N, cap)
+        dec = decompose(alpha, N, N ** 0.3, cap)
+        results.add((rep.count, rep.prime_count, dec.sigma1, dec.sigma2))
+    assert len(results) == 1, results
+    (count, pi_n, _, _), = results
+    assert pi_n == prime_count(N) and count == pair_count(alpha, N, 1 << 16).count
+
+
 def test_decompose_memory_is_set_by_the_radical_block(golden):
-    # at the default cap the first floor window holds about 4.2e6 cells,
-    # whose int32 radicals would take 16 MiB; one block takes 1 MiB, and
-    # the rest of the peak is the prime and floor stream itself
+    # at the default cap a floor window holds about 1.7e6 cells, whose int32
+    # radicals would take 6.8 MB.  Beyond the prime and floor stream itself,
+    # decompose holds what one block needs:
+    # - the radical buffer, 4 * _RAD_BLOCK bytes (1 MiB);
+    # - 28 bytes for each prime of the block: its int64 index and key, and
+    #   while the key of m + 1 is gathered, the shifted int64 index and the
+    #   int32 radicals read (np.unique's sorted copy and mask take less);
+    #   a block's floors lie in _RAD_BLOCK - 1 cells, so it holds at most
+    #   k_max primes, counted below over every such span of the stream;
+    # - the class tally: 1,627 classes at this N, each a dict slot, a key
+    #   int and a count int, under 128 bytes; 2,048 of them are allowed for.
     N = 3 * 10 ** 6
     base_primes(math.isqrt(2 * N) + 1)
     sigma_midpoint()
     decompose(golden, 10 ** 4, 5.0)
+    k_max = 0
+    for _, fl in counting._prime_floors(golden, N, DEFAULT_SEGMENT_CAP):
+        span = np.searchsorted(fl, fl + counting._RAD_BLOCK - 1) - np.arange(fl.size)
+        k_max = max(k_max, int(span.max()))
+    block = 4 * counting._RAD_BLOCK + 28 * k_max + 2048 * 128
     peaks = []
     for run in (lambda: [None for _ in counting._prime_floors(golden, N, DEFAULT_SEGMENT_CAP)],
                 lambda: decompose(golden, N, N ** 0.3)):
@@ -370,7 +406,7 @@ def test_decompose_memory_is_set_by_the_radical_block(golden):
         finally:
             tracemalloc.stop()
     stream, peak = peaks
-    assert peak <= stream + 4 * counting._RAD_BLOCK, (peak, stream)
+    assert peak <= stream + block, (peak, stream, block)
     assert peak < stream + DEFAULT_SEGMENT_CAP, (peak, stream)
 
 

@@ -288,6 +288,32 @@ def _near(base, k_max):
     return st.builds(lambda k, d: max(0, k * base + d), st.integers(0, k_max), st.integers(-3, 3))
 
 
+#: The odd-cell wheel's period in values: 2 * 3 * 5 * 7 * 11 * 13.
+_ODD_WHEEL_VALUES = 2 * sieves._ODD_WHEEL_PERIOD
+
+
+@settings(max_examples=150, deadline=None)
+@given(lo=st.one_of(st.integers(0, 20), _near(_ODD_WHEEL_VALUES, 300)),
+       width=st.one_of(st.integers(1, 3),
+                       st.builds(lambda w, d: w + d,
+                                 st.sampled_from([_ODD_WHEEL_VALUES, 2 * _ODD_WHEEL_VALUES]),
+                                 st.integers(-3, 3))))
+def test_prime_channel_wheel_matches_oracle_property(lo, width):
+    # windows starting at 0..20 (the wheel primes 3..13 and their first
+    # multiples) or within 3 of a wheel period, of widths 1..3 or within 3
+    # of one or two periods
+    hi = lo + width
+    expected = oracles.primes_between(lo, hi)
+    assert np.flatnonzero(sieve_segment(lo, hi, {"prime"}).is_prime).tolist() == \
+        [p - lo for p in expected], (lo, hi)
+    assert primes_in(lo, hi).tolist() == expected, (lo, hi)
+
+
+def test_primes_between_oracle_agrees_with_trial_division():
+    for lo, hi in ((0, 1), (0, 3), (1, 2), (2, 500), (30025, 30040), (10 ** 6, 10 ** 6 + 300)):
+        assert oracles.primes_between(lo, hi) == [n for n in range(lo, hi) if oracles.is_prime(n)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(lo=st.one_of(st.integers(0, 3), _near(_WHEEL_PERIOD, 200), _near(_SQF_BLOCK, 16),
                     st.integers(0, 10 ** 7)),
