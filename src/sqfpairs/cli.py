@@ -218,15 +218,15 @@ def _run_carlitz(cfg: ExperimentConfig) -> None:
     emit_table(rows, cfg.output_format, cfg.output_path, COLUMNS["carlitz"])
 
 
+def _report_row(rep: counting.PairCountReport) -> dict:
+    return {"N": rep.N, "count": rep.count, "pi_N": rep.prime_count,
+            "prediction": rep.prediction, "abs_error": rep.abs_error,
+            "rel_error": rep.rel_error}
+
+
 def _pair_rows(cfg: ExperimentConfig, fn) -> list:
     alpha = _need_alpha(cfg)
-    rows = []
-    for n in _need_n(cfg):
-        rep = fn(alpha, n, cfg.segment_cap)
-        rows.append({"N": rep.N, "count": rep.count, "pi_N": rep.prime_count,
-                     "prediction": rep.prediction, "abs_error": rep.abs_error,
-                     "rel_error": rep.rel_error})
-    return rows
+    return [_report_row(fn(alpha, n, cfg.segment_cap)) for n in _need_n(cfg)]
 
 
 def _run_pairs(cfg: ExperimentConfig) -> None:
@@ -294,12 +294,7 @@ def _run_discrepancy(cfg: ExperimentConfig) -> None:
 def _run_fit(cfg: ExperimentConfig) -> None:
     alpha = _need_alpha(cfg)
     table = counting.error_table(alpha, _need_n(cfg), cfg.segment_cap)
-    rows = [
-        {"N": r.N, "count": r.count, "pi_N": r.prime_count,
-         "prediction": r.prediction, "abs_error": r.abs_error,
-         "rel_error": r.rel_error, "theta_hat": table.fitted_exponent}
-        for r in table.reports
-    ]
+    rows = [dict(_report_row(r), theta_hat=table.fitted_exponent) for r in table.reports]
     emit_table(rows, cfg.output_format, cfg.output_path, COLUMNS["fit"])
 
 

@@ -3,28 +3,30 @@
 Counts are exact integers throughout; the only floating step is the final
 comparison against the density prediction, so observed convergence can never
 be a rounding artifact.  Every count over primes reads one stream of
-(primes, floors) segments.  Each segment holds the primes of one block of w
-values, w at most _PRIME_WINDOW and sized from alpha so that its floor window
-[fl[0], fl[-1] + 2), holding every m = [alpha*p] and m + 1, spans at most
-segment_cap cells: one squarefree sieve call covers it.  The primes
-themselves are sieved in windows of a whole number of blocks, at most
-min(segment_cap, _PRIME_WINDOW) values whatever alpha is (512 KiB of odd
-cells, which stay in cache while the base primes strike them), and cut back
-into the blocks, so a large alpha does not pay a sieve call per tiny block.
-A count flags its floor windows into one buffer of its own, grown to the
-largest window it meets, so memory stays bounded by the segment cap for every
-alpha.  A grown buffer is allocated only after every reference to the old one
-is dropped: allocated while the old one lives, glibc's malloc can place it
-above the old one on the heap, and the freed old buffer then stays resident
-(peak RSS rose 4 MiB on a pair count at alpha near 31, N = 3e7).
+(primes, floors) segments, one per prime window of min(segment_cap,
+_PRIME_WINDOW) values whatever alpha is (512 KiB of odd cells, which stay in
+cache while the base primes strike them).  _floor_windows cuts a segment's
+ascending floors greedily into runs whose floor window [fl[a], fl[b-1] + 2),
+holding every m = [alpha*p] and m + 1 of the run, spans at most a given number
+of cells: segment_cap for the squarefree flags, so one sieve call covers a
+run, and a large alpha cuts one prime window into many runs.  A count flags
+its runs into one buffer of its own, grown to min(segment_cap, floor span of
+the widest prime window met), which holds every run of that window, so
+memory stays bounded by the segment cap for every alpha.  Sizing by the
+prime window rather than by the run matters at large alpha: the runs there
+differ by a few hundred cells just below the cap, and regrowing a 4 MiB
+buffer by that much left it resident after the count (peak RSS rose 2.5 MiB
+on a pair count at alpha near 31, N = 3e7).  A grown buffer is allocated
+only after every reference to the old one is dropped: allocated while the
+old one lives, glibc's malloc can place it above the old one on the heap,
+and the freed old buffer then stays resident (peak RSS rose 4 MiB there).
 
-decompose reads the radicals of its floor windows instead of flags.  It cuts
-each window into blocks of at most _RAD_BLOCK cells (1 MiB of int32, which
-stays in cache while the small squares strike it) and keeps one int32 buffer
-grown to the widest block met, at most min(_RAD_BLOCK, window) cells, so its
-memory is set by the block rather than the segment cap.  The primes of a
-block are tallied by class in numpy, so only the distinct classes, a few
-hundred a block, reach Python.
+decompose reads radicals instead of flags.  It cuts each segment's floors the
+same way into runs of at most min(segment_cap, _RAD_BLOCK) cells (1 MiB of
+int32, which stays in cache while the small squares strike it) and keeps one
+int32 buffer grown to the widest run met, so its memory is set by _RAD_BLOCK
+rather than the segment cap.  The primes of a run are tallied by class in
+numpy, so only the distinct classes, a few hundred a run, reach Python.
 """
 
 from __future__ import annotations
@@ -51,10 +53,10 @@ from .sieves import (
 #: Truncation used for the density midpoint entering predictions.
 SIGMA_PRODUCT_LIMIT = 10 ** 6
 
-#: Widest prime window, and widest floor block: whole blocks up to min(segment_cap, this).
+#: Widest prime window: min(segment_cap, this) values for every alpha.
 _PRIME_WINDOW = 1 << 20
 
-#: Floor-window cells per radical block in decompose (module docstring).
+#: Widest radical window in decompose, in cells (module docstring).
 _RAD_BLOCK = 1 << 18
 
 #: Mask of S in a decompose class key R << 32 | S.
@@ -118,59 +120,37 @@ def _check_n(alpha: AlgebraicAlpha, N: int) -> None:
 
 
 def _prime_floors(alpha: AlgebraicAlpha, N: int, segment_cap: int):
-    """(primes, floors) per floor block of the primes p <= N; checks run at the call.
+    """(primes, floors) per prime window of the primes p <= N; checks run at the call.
 
-    The floor blocks are [2 + j*w, 2 + (j + 1)*w), empty ones skipped.  With
-    A = [alpha * 2**32], alpha < (A + 1) / 2**32.  Primes of one block differ
-    by at most w - 1, so the floor window [fl[0], fl[-1] + 2) has fewer than
-    alpha*(w - 1) + 3 <= segment_cap cells; w = 1 gives 2 cells.
-
-    w is also at most _PRIME_WINDOW, so a small alpha's block, which the cap
-    alone would make up to segment_cap/alpha values wide, is cut to a
-    cache-sized window too; a narrower block only narrows its floor window.
-
-    The primes are sieved, and their floors taken, in prime windows of
-    W = k*w values, k = max(1, min(segment_cap, _PRIME_WINDOW) // w), so
-    W <= min(segment_cap, _PRIME_WINDOW).  Prime window i is
-    [2 + i*W, 2 + (i + 1)*W), exactly blocks i*k to i*k + k - 1, and it is
-    cut back into them at the primes whose block index (p - 2 - i*W) // w
-    differs from their predecessor's: the blocks, and so the floor windows,
-    are the same for every k.  For alpha below about 4 at the default cap,
-    w = _PRIME_WINDOW and k = 1.
+    The prime windows are [2 + i*W, 2 + (i + 1)*W), W = min(segment_cap,
+    _PRIME_WINDOW), empty ones skipped.
     """
     _check_n(alpha, N)
     if segment_cap < 2:
         raise ConfigError("segment cap must be at least 2")
-    A = alpha.scaled_floor_bits(32)
-    w = max(1, min(segment_cap, _PRIME_WINDOW, ((segment_cap - 3) << 32) // (A + 1) + 1))
-    W = w * max(1, min(segment_cap, _PRIME_WINDOW) // w)
-    return _floor_blocks(alpha, N, w, W)
+    return ((ps, alpha.floors_bulk(ps))
+            for ps in iter_prime_segments(2, N + 1, min(segment_cap, _PRIME_WINDOW)) if ps.size)
 
 
-def _floor_blocks(alpha: AlgebraicAlpha, N: int, w: int, W: int):
-    for start, ps in zip(range(2, N + 1, W), iter_prime_segments(2, N + 1, W)):
-        if not ps.size:
-            continue
-        fl = alpha.floors_bulk(ps)
-        if W == w:  # one block a window: nothing to cut
-            yield ps, fl
-            continue
-        # cut wherever a prime opens a new block: the cuts cost O(primes)
-        # however many empty blocks the window holds, and views are made
-        # one block at a time
-        blk = ps - start
-        blk //= w
-        a = 0
-        for b in np.flatnonzero(blk[1:] != blk[:-1]) + 1:
-            yield ps[a:b], fl[a:b]
-            a = b
-        yield ps[a:], fl[a:]
+def _floor_windows(fl: np.ndarray, span: int):
+    """Cut ascending floors, in order, into views run with run[-1] + 2 - run[0] <= span.
+
+    Greedy: a run starts at fl[a] and takes every floor below fl[a] + span - 1,
+    so with span >= 2 no run is empty and none could take the next floor.
+    """
+    a = 0
+    while a < fl.size:
+        b = int(np.searchsorted(fl, int(fl[a]) + span - 1))
+        yield fl[a:b]
+        a = b
 
 
 def carlitz_count(N: int, segment_cap: int = DEFAULT_SEGMENT_CAP) -> int:
     """Exact number of n <= N with n and n+1 both squarefree."""
     if N < 1:
         raise InvalidRangeError(f"need N >= 1, got N={N}")
+    if N + 2 > GLOBAL_MAX:
+        raise RangeCapError(f"N + 2 = {N + 2} exceeds global maximum {GLOBAL_MAX}")
     if segment_cap < 2:
         raise ConfigError("segment cap must be at least 2")
     count = 0
@@ -186,21 +166,24 @@ def carlitz_count(N: int, segment_cap: int = DEFAULT_SEGMENT_CAP) -> int:
 def _count_over_primes(alpha: AlgebraicAlpha, N: int, pair: bool, segment_cap: int):
     count = pi_n = 0
     buf = np.empty(0, dtype=bool)
-    for ps, fl in _prime_floors(alpha, N, segment_cap):
+    for ps, fls in _prime_floors(alpha, N, segment_cap):
         pi_n += int(ps.size)
-        lo = int(fl[0])
-        hi = int(fl[-1]) + 2
-        if buf.size < hi - lo:
+        # every run of this prime window fits in its capped floor span (module docstring)
+        size = min(segment_cap, int(fls[-1]) + 2 - int(fls[0]))
+        if buf.size < size:
             buf = None  # drop the old buffer first (module docstring)
-            buf = np.empty(hi - lo, dtype=bool)
-        squarefree_flags(lo, hi, segment_cap, out=buf)
-        # every index lies in [0, hi - lo), so "clip" only skips the bounds check
-        idx = fl - lo
-        hit = np.take(buf, idx, mode="clip")
-        if pair:
-            idx += 1
-            hit &= np.take(buf, idx, mode="clip")
-        count += int(np.count_nonzero(hit))
+            buf = np.empty(size, dtype=bool)
+        for fl in _floor_windows(fls, segment_cap):
+            lo = int(fl[0])
+            hi = int(fl[-1]) + 2
+            squarefree_flags(lo, hi, segment_cap, out=buf)
+            # every index lies in [0, hi - lo), so "clip" only skips the bounds check
+            idx = fl - lo
+            hit = np.take(buf, idx, mode="clip")
+            if pair:
+                idx += 1
+                hit &= np.take(buf, idx, mode="clip")
+            count += int(np.count_nonzero(hit))
     return count, pi_n
 
 
@@ -296,16 +279,15 @@ def decompose(alpha: AlgebraicAlpha, N: int, z: float,
     sigma1 + sigma2 equals the pair count exactly for every split point.
 
     Those sums depend on m only through its class (R, S): R is the product of
-    the primes whose square divides m, S the same for m+1.  Each floor window
-    of the prime stream is cut into blocks: a block starts at its first floor
-    m0 and takes the floors below m0 + _RAD_BLOCK - 1, so it spans at most
-    _RAD_BLOCK cells with m + 1 of its last floor inside.  R is sieved over
-    the block into one int32 buffer: each square up to the block width
-    strikes one slice, and the larger squares, each with at most one multiple
-    in the block, strike with one np.multiply.at scatter, which stays exact
-    where two of them hit the same cell.  The block's primes are tallied as
-    int64 keys R << 32 | S (both at most 2**26) with np.unique, the tallies
-    are merged across blocks, and each distinct class is expanded once,
+    the primes whose square divides m, S the same for m+1.  The floors of
+    each prime window are cut by _floor_windows into runs of at most
+    min(segment_cap, _RAD_BLOCK) cells, m + 1 of the last floor inside.  R is
+    sieved over the run into one int32 buffer: each square up to the run
+    width strikes one slice, and the larger squares, each with at most one
+    multiple in the run, strike with one np.multiply.at scatter, which stays
+    exact where two of them hit the same cell.  The run's primes are tallied
+    as int64 keys R << 32 | S (both at most 2**26) with np.unique, the tallies
+    are merged across runs, and each distinct class is expanded once,
     weighted by its prime count, from the square divisors of each distinct
     radical.
 
@@ -322,20 +304,16 @@ def decompose(alpha: AlgebraicAlpha, N: int, z: float,
     classes = Counter()  # class key R << 32 | S -> primes
     # R^2 divides m <= GLOBAL_MAX = 2**52, so R <= 2**26 fits int32
     buf = np.empty(0, dtype=np.int32)
-    for _, fl in stream:
-        fl = fl[int(np.searchsorted(fl, 1)):]  # floors ascend: the zeros are a prefix
-        a = 0
-        while a < fl.size:
-            lo = int(fl[a])
-            b = int(np.searchsorted(fl, lo + _RAD_BLOCK - 1))
-            block = fl[a:b]
-            a = b
-            hi = int(block[-1]) + 2
+    for _, fls in stream:
+        fls = fls[int(np.searchsorted(fls, 1)):]  # floors ascend: the zeros are a prefix
+        for fl in _floor_windows(fls, min(segment_cap, _RAD_BLOCK)):
+            lo = int(fl[0])
+            hi = int(fl[-1]) + 2
             if buf.size < hi - lo:
                 buf = rad = None  # drop the old buffer first (module docstring)
                 buf = np.empty(hi - lo, dtype=np.int32)
             rad = _radicals(lo, hi, buf)
-            idx = block - lo
+            idx = fl - lo
             keys = rad[idx].astype(np.int64)
             keys <<= 32
             keys |= rad[idx + 1]
@@ -367,6 +345,8 @@ def error_table(alpha: AlgebraicAlpha, Ns: Sequence[int],
         raise InvalidRangeError("every N must be >= 100")
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise InvalidRangeError("N values must be strictly ascending")
+    for n in Ns:
+        _check_n(alpha, n)
     reports = tuple(pair_count(alpha, n, segment_cap) for n in Ns)
     if all(r.abs_error == 0.0 for r in reports):
         return ErrorTable(reports=reports, fitted_exponent=None)

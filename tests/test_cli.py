@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import sqfpairs
+from sqfpairs import counting
 from sqfpairs.alpha import AlgebraicAlpha
 from sqfpairs.cli import (
     COLUMNS,
@@ -22,7 +23,8 @@ from sqfpairs.cli import (
     parse_number_list,
     read_table,
 )
-from sqfpairs.errors import ConfigError
+from sqfpairs.errors import ConfigError, RangeCapError
+from sqfpairs.sieves import DEFAULT_SEGMENT_CAP, GLOBAL_MAX
 
 
 def run_cli(*argv):
@@ -62,6 +64,39 @@ def test_values_beyond_caps_exit_3(tmp_path, capsys):
     assert "alpha*N" in capsys.readouterr().err
     assert run_cli("pairs", "--alpha", "sqrt:2", "--n", "1e999999999",
                    "--out", str(tmp_path / "x.csv")) == 3
+
+
+class _Sieved(Exception):
+    pass
+
+
+def test_carlitz_beyond_global_max_exits_3_before_sieving(tmp_path, capsys, monkeypatch):
+    # --n 1e16 would sieve about 1e9 windows before the last one met the cap
+    calls = []
+
+    def spy(lo, hi, *args, **kwargs):
+        calls.append((lo, hi))
+        raise _Sieved
+
+    monkeypatch.setattr(counting, "squarefree_flags", spy)
+    assert run_cli("carlitz", "--n", "1e16", "--out", str(tmp_path / "x.csv")) == 3
+    assert "global maximum" in capsys.readouterr().err
+    with pytest.raises(RangeCapError):
+        counting.carlitz_count(GLOBAL_MAX - 1)
+    assert calls == []
+    # the last window of N = GLOBAL_MAX - 2 ends at N + 2 = GLOBAL_MAX: let through
+    with pytest.raises(_Sieved):
+        counting.carlitz_count(GLOBAL_MAX - 2)
+    assert calls == [(1, DEFAULT_SEGMENT_CAP + 1)]
+
+
+def test_fit_refuses_every_n_before_any_count(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(counting, "pair_count", lambda *args: calls.append(args))
+    assert run_cli("fit", "--alpha", "sqrt:2", "--n", "1e7,1e8,1e16",
+                   "--out", str(tmp_path / "x.csv")) == 3
+    assert "alpha*N" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_rules():
@@ -270,10 +305,9 @@ def test_huge_poly_constant_term_exits_3_promptly(tmp_path, capsys):
 
 def test_out_of_memory_exits_3_naming_segment_cap():
     # a child process with a 1 GiB address-space limit asks for a flag
-    # window of about 4e9 cells: at alpha = sqrt(123456789) ~ 11111 the floor
-    # block is w ~ 4e9 / alpha ~ 3.6e5 primes wide, below the 2**20 prime
-    # window, so the cap alone sets the window; the limit is set in the
-    # child only
+    # window of about 4e9 cells: at alpha = sqrt(123456789) ~ 11111 the
+    # floors of one 2**20-value prime window span about 1.2e10 cells, so
+    # the cap alone sets the window; the limit is set in the child only
     resource = pytest.importorskip("resource")
 
     def limit_memory():

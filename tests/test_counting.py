@@ -277,30 +277,51 @@ def test_prime_windows_are_cut_into_the_floor_windows(monkeypatch, spec, a, b, c
     flagged = _spy(monkeypatch, counting, "squarefree_flags")
     pair_count(alpha, N, cap)
 
-    # the floor windows: blocks [2 + j*w, 2 + (j + 1)*w) of the primes,
-    # w the largest block whose floor window fits the cap
-    A = alpha.scaled_floor_bits(32)
-    w = max(1, min(cap, ((cap - 3) << 32) // (A + 1) + 1))
+    # the floor windows: the oracle floors of each prime window
+    # [2 + i*W, 2 + (i + 1)*W), W = min(cap, 2**20), cut greedily: a run
+    # takes every floor below its first floor + cap - 1
+    W = min(cap, 1 << 20)
     scaled = oracles.quad_alpha_bits(a, b, c, D)
-    blocks = {}
+    windows = {}
     for p in oracles.primes_to(N):
-        blocks.setdefault((p - 2) // w, []).append(oracles.floor_fixed(scaled, p))
-    assert flagged == [(fl[0], fl[-1] + 2) for _, fl in sorted(blocks.items())]
+        windows.setdefault((p - 2) // W, []).append(oracles.floor_fixed(scaled, p))
+    runs = []
+    for _, fls in sorted(windows.items()):
+        runs.append([fls[0]])
+        for m in fls[1:]:
+            if m < runs[-1][0] + cap - 1:
+                runs[-1].append(m)
+            else:
+                runs.append([m])
+    assert flagged == [(run[0], run[-1] + 2) for run in runs]
 
-    # the prime windows tile [2, N] in whole blocks of equal count, several
-    # blocks a window whenever the cap allows it
+    # the prime windows tile [2, N] at width W, no window exceeds the cap,
+    # and a large alpha cuts each prime window into many floor windows
     assert all(hi - lo <= cap for lo, hi in sieved + flagged)
     assert [lo for lo, _ in sieved] == [2] + [hi for _, hi in sieved[:-1]]
     assert sieved[-1][1] == N + 1
-    W = sieved[0][1] - 2
     assert all(hi - lo == W for lo, hi in sieved[:-1])
     assert sieved[-1][1] - sieved[-1][0] <= W
-    if len(sieved) > 1:
-        assert W % w == 0
     if alpha.to_float() > 100 and cap < N:
         assert len(sieved) > 1
-        assert W >= 100 * w
         assert len(flagged) > 10 * len(sieved)
+
+
+@settings(max_examples=300, deadline=None)
+@given(first=st.integers(0, 1 << 52), steps=st.lists(st.integers(0, 40), max_size=80),
+       span=st.one_of(st.integers(2, 64), st.integers(2, 10 ** 30)))
+def test_floor_windows_cut_greedily_property(first, steps, span):
+    # ascending floors with repeats (alpha < 1 repeats floors)
+    fl = first + np.cumsum(np.array([0] + steps, dtype=np.int64))
+    runs = list(counting._floor_windows(fl, span))
+    assert np.array_equal(np.concatenate(runs), fl)  # a partition, in order
+    end = 0
+    for run in runs:
+        end += run.size
+        assert run.size > 0
+        assert int(run[-1]) + 2 - int(run[0]) <= span
+        if end < fl.size:  # maximal: the next floor would not fit
+            assert int(fl[end]) + 2 - int(run[0]) > span
 
 
 @st.composite
@@ -324,7 +345,7 @@ def large_alpha_specs(draw):
        d=st.integers(1, 4), t=st.integers(1, 4), z_frac=st.floats(0.0, 1.0))
 def test_large_alpha_counts_match_brute_force(spec_bits, N, cap, d, t, z_frac):
     # alpha up to about 1e4, caps from 2 up: each prime window is cut into
-    # many floor windows, or into single-value blocks once alpha > cap - 3
+    # many floor windows, or into one floor a window once alpha >= cap
     assume(math.gcd(d, t) == 1)
     spec, scaled = spec_bits
     alpha = _alpha(spec)
@@ -354,19 +375,23 @@ def test_huge_segment_cap_sizes_no_buffer_to_the_cap(sqrt2):
 
 
 def test_counts_agree_with_floor_blocks_below_at_and_above_the_prime_window():
-    # for sqrt:2 the floor block is w = min(cap, 2**20, w_alpha), with
-    # w_alpha = ((cap - 3) << 32) // (A + 1) + 1 ~ cap / alpha.  A cap of
-    # 2**20 puts w_alpha below 2**20, cap_at is the smallest cap at which it
-    # reaches 2**20, and the default cap (w_alpha ~ 2.97e6) puts it above,
-    # where the prime window caps it
+    # for sqrt:2 at any cap of at least 2**20 the prime windows are 2**20
+    # values wide, and the floors of the widest one span `span` cells, about
+    # 1.48e6: caps of 2**20 and span - 1 cut it into two floor windows, while
+    # span, span + 1 and the default cap hold every prime window in one
     alpha = parse_alpha("sqrt:2")
     N = 5 * 10 ** 6
     window = counting._PRIME_WINDOW
-    cap_at = 3 - (-(window - 1) * (alpha.scaled_floor_bits(32) + 1) >> 32)
+    span = max(int(fl[-1]) + 2 - int(fl[0]) for _, fl in counting._prime_floors(alpha, N, window))
     results = set()
-    for cap in (1 << 20, cap_at - 1, cap_at, DEFAULT_SEGMENT_CAP):
+    for cap in (window, span - 1, span, span + 1, DEFAULT_SEGMENT_CAP):
+        cuts = 0
         for ps, fl in counting._prime_floors(alpha, N, cap):
-            assert ps[-1] - ps[0] < min(cap, window) and fl[-1] + 2 - fl[0] <= cap, cap
+            assert ps[-1] - ps[0] < min(cap, window), cap
+            runs = list(counting._floor_windows(fl, cap))
+            assert all(run[-1] + 2 - run[0] <= cap for run in runs), cap
+            cuts += len(runs) - 1
+        assert (cuts > 0) == (cap < span), (cap, cuts)
         rep = pair_count(alpha, N, cap)
         dec = decompose(alpha, N, N ** 0.3, cap)
         results.add((rep.count, rep.prime_count, dec.sigma1, dec.sigma2))
