@@ -25,14 +25,19 @@ decompose reads radicals instead of flags.  It cuts each segment's floors the
 same way into runs of at most min(segment_cap, _RAD_BLOCK) cells (1 MiB of
 int32, which stays in cache while the small squares strike it) and keeps one
 int32 buffer grown to the widest run met, so its memory is set by _RAD_BLOCK
-rather than the segment cap.  The primes of a run are tallied by class in
-numpy, so only the distinct classes, a few hundred a run, reach Python.
+rather than the segment cap.  sieves.square_radicals fills a run by tiling a
+wheel of the radicals of 4, 9, 25 and 49, then scatters the larger squares.
+The primes of a run are tallied by class with np.unique, and the run
+tallies are merged into one sorted int64 (keys, counts) pair whenever the
+pending ones outgrow it, so the tally's memory follows the number of
+distinct classes, not of runs.  Only the distinct radicals reach Python, to
+be factored once; the classes are expanded into their signed (d, t) terms in
+numpy.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -47,6 +52,7 @@ from .sieves import (
     GLOBAL_MAX,
     base_primes,
     iter_prime_segments,
+    square_radicals,
     squarefree_flags,
 )
 
@@ -238,35 +244,61 @@ def congruence_pair_count(alpha: AlgebraicAlpha, N: int, d: int, t: int,
     return count
 
 
-def _square_divisors(r: int):
-    """All (d, mu(d)) with d | r, for squarefree r; r is factored by trial division."""
+def _square_divisors(r: int, primes):
+    """All (d, mu(d)) with d | r, for squarefree r >= 1.
+
+    r is factored over primes, the ascending base primes up to at least
+    sqrt(r) as Python ints; the scan stops once p*p exceeds what is left.
+    """
     divs = [(1, 1)]
-    p = 2
-    while p * p <= r:
+    for p in primes:
+        if p * p > r:  # what is left of r is 1 or a prime
+            break
         if r % p == 0:
             divs += [(d * p, -s) for d, s in divs]
             r //= p
-        p += 1
     if r > 1:
         divs += [(d * r, -s) for d, s in divs]
     return divs
 
 
-def _radicals(lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
-    """R(m) for m in [lo, hi), 0 < lo, in buf[:hi - lo]: the product of the primes p with p^2 | m."""
-    n = hi - lo
-    rad = buf[:n]
-    rad.fill(1)
-    ps = base_primes(math.isqrt(hi - 1))
-    split = int(np.searchsorted(ps, math.isqrt(n), side="right"))
-    for p in ps[:split].tolist():  # p^2 <= n: one slice each
-        q = p * p
-        rad[(-lo) % q:: q] *= p
-    ps = ps[split:]  # p^2 > n: at most one multiple in the block
-    offsets = (-lo) % (ps * ps)
-    hit = offsets < n
-    np.multiply.at(rad, offsets[hit], ps[hit].astype(np.int32))
-    return rad
+def _merge_tallies(*tallies):
+    """One (keys, counts) tally, keys sorted and distinct, from tallies of int64 arrays."""
+    keys, inverse = np.unique(np.concatenate([k for k, _ in tallies]), return_inverse=True)
+    counts = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(counts, inverse, np.concatenate([c for _, c in tallies]))
+    return keys, counts
+
+
+def _split_sums(keys: np.ndarray, counts: np.ndarray, z: float):
+    """(sigma1, sigma2) of a class tally: each class (R, S) weighted by its prime count.
+
+    Every distinct radical is factored once, and its square divisors d with
+    their signs mu(d) go into two flat arrays.  A class with a divisors of R
+    and b of S makes a*b terms; term j pairs divisor j // b of R with
+    divisor j % b of S.  sigma1 sums the terms with d*t <= z, sigma2 those
+    with d*t > z, so their sum is a check of the count rather than its
+    definition.  d, t <= 2**26 make d*t <= 2**52 exact in int64 and in the
+    float comparison with z.
+    """
+    rads, which = np.unique(np.concatenate((keys >> 32, keys & _LOW32)), return_inverse=True)
+    rads = rads.tolist()
+    primes = base_primes(math.isqrt(rads[-1]) if rads else 0).tolist()
+    divs = [_square_divisors(r, primes) for r in rads]
+    size = np.array([len(ds) for ds in divs], dtype=np.int64)
+    first = np.cumsum(size) - size  # where each radical's divisors start in div and mu
+    div = np.array([d for ds in divs for d, _ in ds], dtype=np.int64)
+    mu = np.array([s for ds in divs for _, s in ds], dtype=np.int64)
+    r, s = which[:keys.size], which[keys.size:]
+    terms = size[r] * size[s]
+    cls = np.repeat(np.arange(keys.size), terms)
+    j = np.arange(cls.size) - np.repeat(np.cumsum(terms) - terms, terms)
+    b = size[s][cls]
+    i_d = first[r][cls] + j // b
+    i_t = first[s][cls] + j % b
+    w = counts[cls] * mu[i_d] * mu[i_t]
+    near = div[i_d] * div[i_t] <= z
+    return int(w[near].sum()), int(w[~near].sum())
 
 
 def decompose(alpha: AlgebraicAlpha, N: int, z: float,
@@ -282,14 +314,16 @@ def decompose(alpha: AlgebraicAlpha, N: int, z: float,
     the primes whose square divides m, S the same for m+1.  The floors of
     each prime window are cut by _floor_windows into runs of at most
     min(segment_cap, _RAD_BLOCK) cells, m + 1 of the last floor inside.  R is
-    sieved over the run into one int32 buffer: each square up to the run
-    width strikes one slice, and the larger squares, each with at most one
-    multiple in the run, strike with one np.multiply.at scatter, which stays
-    exact where two of them hit the same cell.  The run's primes are tallied
-    as int64 keys R << 32 | S (both at most 2**26) with np.unique, the tallies
-    are merged across runs, and each distinct class is expanded once,
-    weighted by its prime count, from the square divisors of each distinct
-    radical.
+    sieved over the run into one int32 buffer by sieves.square_radicals: the
+    run is tiled from a wheel of the radicals of 4, 9, 25 and 49, and every
+    larger square multiplies its multiples in the run by its prime in one
+    np.multiply.at scatter.  The run's primes are tallied as int64
+    keys R << 32 | S (both at most 2**26) with np.unique, and the run
+    tallies are merged into one sorted (keys, counts) pair whenever the
+    pending ones hold more entries than it, so memory follows the number of
+    distinct classes, not the number of runs.  Each distinct radical is then
+    factored once and every class expanded in numpy (_split_sums), sigma1
+    and sigma2 each summed over its own side of z.
 
     z may sit anywhere in [1, (alpha*N)^(2/3)]; values below 2 are outside
     the regime of the asymptotic analysis but leave the identity intact.
@@ -301,7 +335,9 @@ def decompose(alpha: AlgebraicAlpha, N: int, z: float,
     if not 1.0 <= z <= z_cap:
         raise ConfigError(f"z={z} outside [1, (alpha*N)^(2/3)] = [1, {z_cap:.6g}]")
 
-    classes = Counter()  # class key R << 32 | S -> primes
+    tally = (np.empty(0, dtype=np.int64),) * 2  # sorted class keys R << 32 | S, their primes
+    pending = []  # run tallies not yet merged into tally
+    pending_size = 0
     # R^2 divides m <= GLOBAL_MAX = 2**52, so R <= 2**26 fits int32
     buf = np.empty(0, dtype=np.int32)
     for _, fls in stream:
@@ -312,25 +348,20 @@ def decompose(alpha: AlgebraicAlpha, N: int, z: float,
             if buf.size < hi - lo:
                 buf = rad = None  # drop the old buffer first (module docstring)
                 buf = np.empty(hi - lo, dtype=np.int32)
-            rad = _radicals(lo, hi, buf)
+            rad = square_radicals(lo, hi, buf)
             idx = fl - lo
             keys = rad[idx].astype(np.int64)
             keys <<= 32
-            keys |= rad[idx + 1]
-            keys, counts = np.unique(keys, return_counts=True)
-            classes.update(dict(zip(keys.tolist(), counts.tolist())))
+            idx += 1
+            keys |= rad[idx]
+            pending.append(np.unique(keys, return_counts=True))
+            pending_size += pending[-1][0].size
+            if pending_size > tally[0].size:
+                tally = _merge_tallies(tally, *pending)
+                pending = []
+                pending_size = 0
 
-    radicals = {key >> 32 for key in classes} | {key & _LOW32 for key in classes}
-    divisors = {r: _square_divisors(r) for r in radicals}
-    sigma1 = 0
-    sigma2 = 0
-    for key, c in classes.items():
-        for d, sd in divisors[key >> 32]:
-            for t, st in divisors[key & _LOW32]:
-                if d * t <= z:
-                    sigma1 += c * sd * st
-                else:
-                    sigma2 += c * sd * st
+    sigma1, sigma2 = _split_sums(*_merge_tallies(tally, *pending), z)
     return DecompositionReport(N=N, z=z, sigma1=sigma1, sigma2=sigma2,
                                total=sigma1 + sigma2)
 

@@ -1,4 +1,5 @@
-"""Segmented arithmetic sieves: primes, Mobius values, squarefree flags, divisor counts.
+"""Segmented arithmetic sieves: primes, Mobius values, squarefree flags, square radicals,
+divisor counts.
 
 All functions are pure and deterministic. Segments are independent, so results
 for disjoint windows can be computed in any order (or in parallel) and
@@ -29,7 +30,14 @@ window width then strike one slice each, and the larger squares, each of
 which hits the window at most once, are struck with one vectorised scatter.
 No pattern the size of the segment cap is kept; a caller that flags many
 windows passes one buffer of its own as out=, so no window pays for a fresh
-array's page faults.
+array's page faults.  Every strike stores one shared read-only 0-d False
+array, so no slice store converts a Python bool first.
+
+Square radicals R(m), the product of the primes p with p*p | m, start the
+same way in a caller's int32 buffer: a two-period uint8 wheel of the
+contributions of 4, 9, 25 and 49 (period 44100, 88 KB, built on first use)
+is copied from the window's phase and doubled in place.  The larger squares
+then multiply their multiples by their primes in one vectorised scatter.
 
 Convention cells: value 0 carries mu=0, tau=0, not prime, not squarefree;
 value 1 carries mu=1, tau=1, not prime, squarefree.
@@ -39,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -72,6 +81,11 @@ for _q in (4, 9, 25, 49):
     _WHEEL[::_q] = False
 _WHEEL.flags.writeable = False
 del _q
+
+#: The value every strike stores: a read-only 0-d array, so a slice store
+#: copies it without first converting a Python bool.
+_FALSE = np.zeros((), dtype=bool)
+_FALSE.flags.writeable = False
 
 #: The primes the prime channel's odd-cell wheel strikes; larger base primes strike a slice each.
 _ODD_WHEEL_PRIMES = (3, 5, 7, 11, 13)
@@ -287,7 +301,7 @@ def _odd_prime_cells(lo: int, hi: int, bps: np.ndarray) -> np.ndarray:
     starts -= first_odd
     starts >>= 1
     for start, p in zip(starts.tolist(), ps.tolist()):
-        odd[start::p] = False
+        odd[start::p] = _FALSE
     return odd
 
 
@@ -338,16 +352,68 @@ def squarefree_flags(lo: int, hi: int, segment_cap: int = DEFAULT_SEGMENT_CAP,
         for q in _BLOCK_SQUARES:
             start = b + (-(lo + b)) % q
             if start < e:
-                flags[start:e:q] = False
+                flags[start:e:q] = _FALSE
     qs = base_primes(math.isqrt(hi - 1)) ** 2
     qs = qs[int(np.searchsorted(qs, _BLOCK_SQUARES[-1], side="right")):]
     offsets = (-lo) % qs
     split = int(np.searchsorted(qs, n, side="right"))
     for q, start in zip(qs[:split].tolist(), offsets[:split].tolist()):
-        flags[start::q] = False
+        flags[start::q] = _FALSE
     single = offsets[split:]
     flags[single[single < n]] = False
     return flags
+
+
+@lru_cache(maxsize=1)
+def _radical_wheel() -> np.ndarray:
+    """Two periods of the radical wheel (88 KB, read-only): cell g holds the
+    product of those of 2, 3, 5, 7 whose square divides g."""
+    wheel = np.ones(2 * _WHEEL_PERIOD, dtype=np.uint8)
+    for p in (2, 3, 5, 7):
+        wheel[:: p * p] *= p
+    wheel.flags.writeable = False
+    return wheel
+
+
+def square_radicals(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """R(m) for m in [lo, hi), 0 < lo, in out[:hi - lo]: the product of the primes p with p*p | m.
+
+    out is a caller-owned int32 buffer of at least hi - lo cells, returned as
+    out[:hi - lo]; R(m)**2 divides m < GLOBAL_MAX, so R(m) <= 2**26 fits.
+    The window is tiled from the radical wheel at the phase lo mod 44100,
+    which puts in the primes 2, 3, 5 and 7.  Every larger prime p then
+    multiplies each cell of a multiple of p*p by p, all in one
+    np.multiply.at scatter, which stays exact where several primes hit the
+    same cell.  The cells are listed in numpy: every multiple of each square
+    up to hi - lo, and the one multiple, if any, of each larger square.  A
+    slice store per square would cost a few microseconds of interpreter
+    overhead for a few cells each: about 93 of them in a 2**18-cell window,
+    where all the squares from 121 up hit about 6,000 cells in total.
+    """
+    if lo < 1:
+        raise InvalidRangeError(f"R(0) is undefined: need lo >= 1, got lo={lo}")
+    if not isinstance(out, np.ndarray) or out.dtype != np.int32 or out.ndim != 1:
+        raise ConfigError("out must be a 1-d int32 array")
+    _check_window(lo, hi, out.size)
+    n = hi - lo
+    rad = out[:n]
+    _tile(rad, _radical_wheel(), lo % _WHEEL_PERIOD, _WHEEL_PERIOD)
+    ps = base_primes(math.isqrt(hi - 1))[4:]  # the wheel holds 2, 3, 5, 7
+    split = int(np.searchsorted(ps, math.isqrt(n), side="right"))
+    # p*p <= n: the multiples first + k*q for k < hits, listed square by square
+    small = ps[:split]
+    qs = small * small
+    first = (-lo) % qs
+    hits = (n - 1 - first) // qs + 1
+    cells = np.repeat(first - qs * (np.cumsum(hits) - hits), hits)
+    cells += np.repeat(qs, hits) * np.arange(cells.size)
+    # p*p > n: at most one multiple each
+    large = ps[split:]
+    offsets = (-lo) % (large * large)
+    hit = offsets < n
+    np.multiply.at(rad, np.concatenate((cells, offsets[hit])),
+                   np.concatenate((np.repeat(small, hits), large[hit])).astype(np.int32))
+    return rad
 
 
 def iter_prime_segments(

@@ -49,6 +49,11 @@ def tau(n):
     return t
 
 
+def square_radical(n):
+    """R(n) for n >= 1: the product of the primes p with p*p | n, by trial division."""
+    return math.prod(p for p, e in factorize(n) if e >= 2)
+
+
 def is_prime(n):
     if n < 2:
         return False

@@ -410,8 +410,10 @@ def test_decompose_memory_is_set_by_the_radical_block(golden):
     #   int32 radicals read (np.unique's sorted copy and mask take less);
     #   a block's floors lie in _RAD_BLOCK - 1 cells, so it holds at most
     #   k_max primes, counted below over every such span of the stream;
-    # - the class tally: 1,627 classes at this N, each a dict slot, a key
-    #   int and a count int, under 128 bytes; 2,048 of them are allowed for.
+    # - the class tally: 1,627 classes at this N, held as sorted int64 keys
+    #   and counts; with the run tallies pending a merge (no more entries
+    #   than the tally) and the merge's temporaries, well under 128 bytes a
+    #   class; 2,048 of them are allowed for.
     N = 3 * 10 ** 6
     base_primes(math.isqrt(2 * N) + 1)
     sigma_midpoint()
@@ -433,6 +435,52 @@ def test_decompose_memory_is_set_by_the_radical_block(golden):
     stream, peak = peaks
     assert peak <= stream + block, (peak, stream, block)
     assert peak < stream + DEFAULT_SEGMENT_CAP, (peak, stream)
+
+
+def test_decompose_tally_memory_follows_classes_not_runs(monkeypatch, golden):
+    # radical runs of 64 cells cut the floors below 1.6e5 into 2,111 runs of
+    # a few primes each, which fall into only 290 classes.  The run
+    # tallies are merged once they outgrow the merged tally, so beyond the
+    # prime and floor stream decompose holds a few int64 arrays over the
+    # classes and numpy's ufunc.at buffer (24 KiB): a bound that does not
+    # grow with the run count (26 KB measured).  Keeping every run's tally
+    # to the end would hold two arrays a run: 980 KB here.
+    monkeypatch.setattr(counting, "_RAD_BLOCK", 64)
+    N = 10 ** 5
+    base_primes(math.isqrt(2 * N) + 1)
+    decompose(golden, 10 ** 4, 5.0)
+    runs = sum(len(list(counting._floor_windows(fl, 64)))
+               for _, fl in counting._prime_floors(golden, N, DEFAULT_SEGMENT_CAP))
+    assert runs > 2000
+    peaks = []
+    for run in (lambda: [None for _ in counting._prime_floors(golden, N, DEFAULT_SEGMENT_CAP)],
+                lambda: decompose(golden, N, N ** 0.3)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    stream, peak = peaks
+    assert peak <= stream + 64 * 1024, (peak, stream)
+
+
+def _brute_square_divisors(r):
+    divs = {d for d in range(1, math.isqrt(r) + 1) if r % d == 0}
+    return sorted((d, oracles.mu(d)) for d in divs | {r // d for d in divs})
+
+
+@settings(max_examples=150, deadline=None)
+@given(r=st.one_of(st.integers(1, 2 ** 26),
+                   # a unit, the primorial of 19, the largest prime below
+                   # 2**26, twice a prime, and two primes next to 2**13
+                   st.sampled_from([1, 9699690, 2 ** 26 - 5, 2 * 33554393, 8179 * 8191]))
+       .filter(oracles.squarefree))
+def test_square_divisors_match_brute_force(r):
+    # squarefree r up to 2**26, the largest radical of a floor below 2**52,
+    # factored over exactly the primes up to sqrt(r)
+    primes = base_primes(math.isqrt(r)).tolist()
+    assert sorted(counting._square_divisors(r, primes)) == _brute_square_divisors(r)
 
 
 @st.composite

@@ -10,7 +10,9 @@ import oracles
 from sqfpairs import (SieveSegment, crt_residue, prime_count, primes_in, sieve_segment,
                       squarefree_flags)
 from sqfpairs import sieves
-from sqfpairs.sieves import _SQF_BLOCK, _WHEEL_PERIOD, base_primes, iter_prime_segments
+from sqfpairs.counting import _RAD_BLOCK
+from sqfpairs.sieves import (_SQF_BLOCK, _WHEEL_PERIOD, base_primes, iter_prime_segments,
+                             square_radicals)
 from sqfpairs.errors import (
     ConfigError,
     InvalidRangeError,
@@ -398,3 +400,71 @@ def test_squarefree_flags_rejects_bad_buffers():
                 [True] * n):                          # not an array
         with pytest.raises(ConfigError):
             squarefree_flags(10 ** 6, 10 ** 6 + n, out=bad)
+
+
+def _radicals_per_square(lo, hi):
+    # reference: one slice per prime square over the whole window, no wheel
+    rad = np.ones(hi - lo, dtype=np.int64)
+    for p in oracles.primes_to(math.isqrt(hi - 1)):
+        q = p * p
+        rad[-lo % q:: q] *= p
+    return rad
+
+
+def _assert_radical_window(lo, hi, cells):
+    # into a buffer of stale values, one cell longer than the window
+    buf = np.random.default_rng(lo).integers(-9, 9, hi - lo + 1).astype(np.int32)
+    rad = square_radicals(lo, hi, buf)
+    assert rad.dtype == np.int32 and rad.shape == (hi - lo,)
+    assert np.shares_memory(rad, buf)
+    for i in cells:
+        assert int(rad[i]) == oracles.square_radical(lo + i), (lo, hi, i)
+    return rad
+
+
+@settings(max_examples=100, deadline=None)
+@given(lo=st.one_of(st.integers(1, 3), _near(_WHEEL_PERIOD, 200), _near(_RAD_BLOCK, 38),
+                    st.integers(1, 10 ** 7)).map(lambda lo: max(lo, 1)),
+       width=st.one_of(st.integers(1, 3000),
+                       st.builds(lambda w, d: w + d, st.just(_RAD_BLOCK), st.integers(-3, 3))))
+def test_square_radicals_match_oracle_property(lo, width):
+    # windows starting at 1..3 or within 3 of a wheel period or a radical
+    # block, of widths 1..3000 or within 3 of a block: every cell of a
+    # narrow window, and the cells around each edge of a wide one, against
+    # trial division; a wide window whole against one slice per square
+    hi = lo + width
+    if width <= 3000:
+        _assert_radical_window(lo, hi, range(width))
+    else:
+        edges = [0, width, *range(-lo % _WHEEL_PERIOD, width, _WHEEL_PERIOD)]
+        cells = sorted({i for e in edges for i in range(e - 3, e + 3) if 0 <= i < width})
+        rad = _assert_radical_window(lo, hi, cells)
+        assert np.array_equal(rad, _radicals_per_square(lo, hi)), (lo, hi)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.sampled_from([p for p in base_primes(math.isqrt(10 ** 11)).tolist() if p > 7]),
+       off=st.integers(-3, 3), width=st.integers(1, 8))
+def test_square_radicals_far_windows(p, off, width):
+    # lo near 1e11, next to a multiple of p*p: every square above 7**2 has
+    # at most one multiple in the window, and the wheel's phase is far out
+    q = p * p
+    lo = (10 ** 11 // q) * q - off
+    rad = _assert_radical_window(lo, lo + width, range(width))
+    if 0 <= off < width:
+        assert rad[off] % p == 0
+
+
+def test_square_radicals_examples_and_checks():
+    assert square_radicals(1, 13, np.empty(12, dtype=np.int32)).tolist() == \
+        [1, 1, 1, 2, 1, 1, 1, 2, 3, 1, 1, 2]
+    # 44100 = 2^2 3^2 5^2 7^2 and 5336100 = 44100 * 11^2: the wheel, then the scatter
+    assert square_radicals(44100, 44101, np.empty(1, dtype=np.int32)).tolist() == [210]
+    assert square_radicals(5336100, 5336101, np.empty(1, dtype=np.int32)).tolist() == [2310]
+    with pytest.raises(InvalidRangeError):
+        square_radicals(0, 5, np.empty(5, dtype=np.int32))
+    with pytest.raises(WindowTooLargeError):
+        square_radicals(1, 7, np.empty(5, dtype=np.int32))
+    for bad in (np.empty(5, dtype=np.uint8), np.empty((1, 5), dtype=np.int32), [1] * 5):
+        with pytest.raises(ConfigError):
+            square_radicals(1, 5, bad)
