@@ -16,9 +16,9 @@ through bare floating point.  Two representations are supported:
 
 Fractional parts are exposed only as floating approximations for exponential
 sum evaluation; counting decisions always go through the exact floors.  The
-bulk path evaluates them in double-double arithmetic (Dekker 1971, "A
-floating-point technique for extending the available precision") with a proven
-mod-1 error bound.
+bulk path evaluates them in fixed point: one wrapping uint64 multiply gives
+the top 64 fractional bits of beta*n exactly, and a float tail adds the rest,
+with a proven mod-1 error bound.
 """
 
 from __future__ import annotations
@@ -51,9 +51,6 @@ MAX_H = 1 << 20
 #: Largest |c0*ck| whose rational-root candidates p/q (p | c0, q | ck) are
 #: enumerated; the trial division costs about sqrt|c0| + sqrt|ck| steps.
 _MAX_ROOT_TEST_PRODUCT = 10 ** 12
-
-#: Dekker's splitting constant 2**27 + 1 for 53-bit doubles.
-_SPLIT = 134217729.0
 
 _ONE_BELOW_ONE = math.nextafter(1.0, 0.0)
 
@@ -301,20 +298,26 @@ class AlgebraicAlpha:
         """{alpha*h*n/m} for each n in ns, float64 in [0, 1).
 
         For 1 <= h <= MAX_H, m >= 1 and 0 <= n <= GLOBAL_MAX each value is
-        within 2**-51 (4.4e-16) of the true fractional part mod 1: values
-        within that distance of an integer may come out at either end of
-        [0, 1), which the exponential e(x), the only consumer, ignores.
+        within 2**-52 + 2**-64 (under 2**-51, 4.4e-16) of the true fractional
+        part mod 1: values within that distance of an integer may come out at
+        either end of [0, 1), which the exponential e(x), the only consumer,
+        ignores.
 
-        Proof sketch.  With A = [alpha*2**128] and B = [A*h/m] mod 2**128,
-        beta = B/2**128 sits below {alpha*h/m} by less than
-        (h/m + 1)*2**-128, which n multiplies to under 2**-55.  B splits
-        exactly into b1 + b2 + tail: b1 its top 53 bits, b2 the next 53,
-        tail < 2**-106 (n*tail < 2**-54).  n is exact in float64 since
-        n < 2**53, so n*b1 = p + e exactly by Dekker's two-product, with
-        {p} exact and |e| <= 1/4; n*b2 < 1/2 rounds by at most 2**-55.
-        Adding e + n*b2, then {p}, then reducing mod 1 round by at most
-        2**-54, 2**-53 and 2**-54, and clamping 1.0 below 1 adds 2**-53:
-        in all less than 16 * 2**-55 = 2**-51.
+        Proof sketch, in units of 2**-55.  With A = [alpha*2**128] and
+        B = [A*h/m] mod 2**128, beta = B/2**128 sits below {alpha*h/m} by
+        less than (h/m + 1)*2**-128, which n multiplies to under 1 unit.
+        Split B = Hi*2**64 + Lo, so beta*n = n*Hi/2**64 + n*Lo/2**128.  The
+        uint64 product u = n*Hi wraps to exactly n*Hi mod 2**64; read as
+        int64, u/2**64 is the same value mod 1, in [-1/2, 1/2).  Its
+        conversion to float rounds by at most 1 unit, and the scaling by
+        2**-64 is exact.  The tail n*Lo/2**128 is under 2**-12 (n < 2**53 is
+        exact in float64); rounding Lo to float and rounding the product
+        each cost a relative 2**-53, together under 2**-64.  The sum lies in
+        [-1/2, 1/2 + 2**-12) and rounds by at most 2 units.  Reducing mod 1
+        is exact for a sum >= 0; a negative one gains 1 and rounds by at
+        most 2 units, and where that gives 1.0 the clamp to the double below
+        1 stays within 4 units of the true value.  In all at most
+        1 + 1 + 2 + 4 units plus 2**-64, that is 2**-52 + 2**-64.
         """
         if h < 1 or m < 1:
             raise InvalidRangeError(f"need h, m >= 1, got h={h}, m={m}")
@@ -324,34 +327,19 @@ class AlgebraicAlpha:
         if ns.size and (ns.min() < 0 or ns.max() > GLOBAL_MAX):
             raise RangeCapError(f"frac_parts needs 0 <= n <= {GLOBAL_MAX}")
         B = (self.scaled_floor_bits(128) * h // m) & ((1 << 128) - 1)
-        b1 = math.ldexp(B >> 75, -53)
-        b2 = math.ldexp((B >> 22) & ((1 << 53) - 1), -106)
-        c = _SPLIT * b1
-        bh = c - (c - b1)
-        bl = b1 - bh
-        # Dekker's two-product of x and b1 in five arrays (x, p, ah, al, e):
-        # ah + al == x exactly, each half with at most 26 bits, and
-        # e = (((ah*bh - p) + ah*bl) + al*bh) + al*bl, so x*b1 == p + e
-        x = ns.astype(np.float64)
-        p = x * b1
-        ah = _SPLIT * x
-        al = ah - x
-        ah -= al
-        np.subtract(x, ah, out=al)
-        e = ah * bh
-        e -= p
-        ah *= bl
-        e += ah
-        np.multiply(al, bh, out=ah)
-        e += ah
-        al *= bl
-        e += al
-        p -= np.floor(p, out=al)
-        x *= b2
-        e += x
-        p += e
-        p -= np.floor(p, out=al)
-        return np.minimum(p, _ONE_BELOW_ONE, out=p)
+        # a numpy uint64 operand keeps the product in wrapping uint64
+        # arithmetic under the casting rules of every supported numpy
+        hi = np.uint64(B >> 64)
+        lo = math.ldexp(B & ((1 << 64) - 1), -128)
+        u = ns.view(np.uint64) * hi
+        x = u.view(np.int64).astype(np.float64)
+        del u
+        x *= 2.0 ** -64
+        tail = ns.astype(np.float64)
+        tail *= lo
+        x += tail
+        x -= np.floor(x, out=tail)
+        return np.minimum(x, _ONE_BELOW_ONE, out=x)
 
     # ---- conversions ----
 

@@ -19,6 +19,11 @@ from .sieves import DEFAULT_SEGMENT_CAP, iter_prime_segments, sieve_segment
 
 _INF = math.inf
 
+#: Primes per array step of sigma_enclosure: its float arrays and the lists
+#: of Python floats they are read into stay a few hundred KiB, where a whole
+#: prime segment's would take several MiB.
+_SIGMA_CHUNK = 1 << 13
+
 
 def _dn(x: float) -> float:
     return math.nextafter(x, -_INF)
@@ -70,9 +75,9 @@ def sigma_enclosure(P: int) -> Enclosure:
     Per prime the float operations and their order are fixed: x = 2.0/(p*p)
     with p*p rounded once to float; the terms log1p(-up(x)) nudged down
     twice and log1p(-dn(x)) nudged up twice; each partial sum nudged outward
-    once.  Each segment of primes evaluates x, the nudges and math.log1p
-    array-wide and keeps only the two running sums sequential, which gives
-    the same bits as the per-prime scalar loop.
+    once.  Each chunk of at most _SIGMA_CHUNK primes evaluates x, the nudges
+    and math.log1p array-wide and keeps only the two running sums
+    sequential, which gives the same bits as the per-prime scalar loop.
     """
     if P < 3:
         raise InvalidRangeError(f"need P >= 3, got P={P}")
@@ -80,16 +85,17 @@ def sigma_enclosure(P: int) -> Enclosure:
     hi_sum = 0.0
     nextafter = math.nextafter
     for seg in iter_prime_segments(2, P + 1):
-        x = _two_over_square(seg)
-        t_lo = _log1p(-np.nextafter(x, _INF))
-        t_hi = _log1p(-np.nextafter(x, -_INF))
-        for _ in range(2):
-            t_lo = np.nextafter(t_lo, -_INF)
-            t_hi = np.nextafter(t_hi, _INF)
-        for t in t_lo.tolist():
-            lo_sum = nextafter(lo_sum + t, -_INF)
-        for t in t_hi.tolist():
-            hi_sum = nextafter(hi_sum + t, _INF)
+        for i in range(0, seg.size, _SIGMA_CHUNK):
+            x = _two_over_square(seg[i:i + _SIGMA_CHUNK])
+            t_lo = _log1p(-np.nextafter(x, _INF))
+            t_hi = _log1p(-np.nextafter(x, -_INF))
+            for _ in range(2):
+                t_lo = np.nextafter(t_lo, -_INF)
+                t_hi = np.nextafter(t_hi, _INF)
+            for t in t_lo.tolist():
+                lo_sum = nextafter(lo_sum + t, -_INF)
+            for t in t_hi.tolist():
+                hi_sum = nextafter(hi_sum + t, _INF)
     # tail over p > P: upper bound 0 (every factor is below 1), lower bound
     # -Sum x/(1-x) >= -(Sum x) / (1 - max x)
     tail_x = _up(2.0 / (P - 1))

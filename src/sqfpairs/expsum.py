@@ -25,12 +25,12 @@ The chunks keep every temporary at 64 KiB, under glibc's default mmap
 threshold of 128 KiB, so the temporaries reuse warm heap pages; a whole
 segment's temporaries (0.6 MB each at N = 1e6) would each take a fresh mmap
 and its page faults.  Both kernels work in place (frac_parts holds at most
-five chunk-sized float64 arrays at once, _e_sum six, its input included),
-so a _phase_sum call peaks at about 395 KB of traced memory.  Much of the
-cost of a chunk is a fixed cost per numpy call: with chunks of 8192 instead
-of 4096 primes the dyadic CLI query (sqrt:2, N = 1e6, H = 4, d = t = 2;
-2-core VM) ran in 0.051 s against 0.072 s, the medians of 11 alternating
-pairs of 8 s benchmark runs.
+two chunk-sized 8-byte arrays at once, _e_sum six float64 arrays, its input
+included), so a _phase_sum call peaks at about 395 KB of traced memory, all
+of it _e_sum's.  Much of the cost of a chunk is a fixed cost per numpy
+call: with chunks of 8192 instead of 4096 primes the dyadic CLI query
+(sqrt:2, N = 1e6, H = 4, d = t = 2; 2-core VM) ran in 0.051 s against
+0.072 s, the medians of 11 alternating pairs of 8 s benchmark runs.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ DEFAULT_BUDGET = 10 ** 6
 #: on h belongs to the phase layer (AlgebraicAlpha.frac_parts).
 MAX_PHASE_MODULUS = 1 << 40
 
-#: Per-term phase precision mod 1; AlgebraicAlpha.frac_parts proves 2**-51.
+#: Per-term phase precision mod 1 that the tests hold frac_parts to; its
+#: docstring proves 2**-52 + 2**-64 (about 2.2e-16).
 PHASE_EPS = 1e-15
 
 #: Per-term error of e(x) in _e_sum, proven in its docstring.

@@ -261,27 +261,20 @@ def test_frac_parts_property_matches_oracle(spec, h, m, ns):
     assert _worst_phase_error(_alpha(spec), h, ns, m) < PHASE_EPS
 
 
-def _dekker_frac_parts(alpha, h, ns, m):
-    """frac_parts as first written: Dekker's split and two-product, with
-    fresh temporaries; the in-place kernel must match it bit for bit."""
-    def split(a):
-        c = 134217729.0 * a
-        hi = c - (c - a)
-        return hi, a - hi
-
-    B = (alpha.scaled_floor_bits(128) * h // m) & ((1 << 128) - 1)
-    b1 = math.ldexp(B >> 75, -53)
-    b2 = math.ldexp((B >> 22) & ((1 << 53) - 1), -106)
-    x = np.asarray(ns, dtype=np.int64).astype(np.float64)
-    p = x * b1
-    ah, al = split(x)
-    bh, bl = split(b1)
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    p -= np.floor(p)
-    e += x * b2
-    p += e
-    p -= np.floor(p)
-    return np.minimum(p, _ONE_BELOW_ONE, out=p)
+def _fixed_point_frac_parts(alpha, h, ns, m):
+    """frac_parts' fixed-point steps on Python ints, rounded by float(),
+    which rounds to nearest as numpy's int64 -> float64 cast does; the
+    numpy kernel must match it bit for bit."""
+    B = (alpha.scaled_floor_bits(128) * h // m) % 2 ** 128
+    hi, lo = divmod(B, 2 ** 64)
+    out = []
+    for n in ns:
+        u = n * hi % 2 ** 64
+        x = float(u - 2 ** 64 if u >= 2 ** 63 else u) * 2.0 ** -64
+        x += float(n) * math.ldexp(lo, -128)
+        x -= math.floor(x)
+        out.append(min(x, _ONE_BELOW_ONE))
+    return np.array(out, dtype=np.float64)
 
 
 @settings(max_examples=300, deadline=None)
@@ -289,11 +282,27 @@ def _dekker_frac_parts(alpha, h, ns, m):
        ns=st.lists(st.one_of(st.integers(0, GLOBAL_MAX),
                              st.integers(GLOBAL_MAX - 2 ** 20, GLOBAL_MAX)),
                    min_size=1, max_size=40))
-def test_frac_parts_bit_identical_to_dekker_oracle(spec, h, m, ns):
+def test_frac_parts_bit_identical_to_fixed_point_oracle(spec, h, m, ns):
     alpha = _alpha(spec)
     got = alpha.frac_parts(h, ns, m)
-    want = _dekker_frac_parts(alpha, h, ns, m)
+    want = _fixed_point_frac_parts(alpha, h, ns, m)
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_frac_parts_within_proven_bound_exactly(sqrt2, golden):
+    # exact rationals against the 256-bit oracle, whose own error
+    # h*n/(m*2**256) is added to the distance before comparing
+    bound = Fraction(1, 2 ** 52) + Fraction(1, 2 ** 64)
+    ns = [0, 1, 2 ** 32 - 1, 2 ** 32 + 1, 2 ** 52 - 1, GLOBAL_MAX]
+    for alpha, scaled in ((sqrt2, oracles.SQRT2_SCALED), (golden, oracles.GOLDEN_SCALED)):
+        for h in (1, MAX_H):
+            for m in (1, MAX_PHASE_MODULUS - 1):
+                got = alpha.frac_parts(h, ns, m).tolist()
+                for n, x in zip(ns, got):
+                    assert 0.0 <= x < 1.0
+                    d = abs(Fraction(x) - oracles.frac_fixed(scaled, h, n, m))
+                    d = min(d, 1 - d) + Fraction(h * n, m << oracles.ORACLE_BITS)
+                    assert d <= bound, (alpha, h, n, m, float(d))
 
 
 def test_frac_parts_memory_stays_within_six_arrays(sqrt2):
@@ -307,6 +316,19 @@ def test_frac_parts_memory_stays_within_six_arrays(sqrt2):
     finally:
         tracemalloc.stop()
     assert peak <= 6 * 8 * ps.size, peak
+
+
+def test_frac_parts_memory_stays_within_three_arrays(sqrt2):
+    # the kernel holds two chunk-sized arrays at once
+    ps = primes_in(2, 90_000)[:8192]
+    sqrt2.frac_parts(3, ps[:1], 4)  # warm the cached 128-bit alpha
+    tracemalloc.start()
+    try:
+        sqrt2.frac_parts(3, ps, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * ps.size, peak
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,17 @@ def test_sigma_enclosure_bits_are_pinned():
         assert (enc.lo.hex(), enc.hi.hex()) == (lo, hi), P
 
 
+def test_sigma_enclosure_memory_stays_in_chunks():
+    # a whole segment's 78,498 primes at once peaked at 5.4 MiB
+    tracemalloc.start()
+    try:
+        sigma_enclosure(10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2 ** 20, peak
+
+
 def _sigma_enclosure_per_prime(P):
     # reference: the scalar loop, one math.nextafter per nudge, prime by prime
     def dn(x):
@@ -60,7 +72,8 @@ def _sigma_enclosure_per_prime(P):
     return dn(dn(math.exp(lo_sum))), up(up(math.exp(hi_sum)))
 
 
-@pytest.mark.parametrize("P", [3, 4, 5, 97, 1000, 4099, 20000])
+# 84247 holds 8,214 primes: two chunks of at most _SIGMA_CHUNK = 8192
+@pytest.mark.parametrize("P", [3, 4, 5, 97, 1000, 4099, 20000, 84247])
 def test_sigma_enclosure_matches_per_prime_loop(P):
     enc = sigma_enclosure(P)
     assert (enc.lo, enc.hi) == _sigma_enclosure_per_prime(P)
