@@ -254,25 +254,13 @@ class AlgebraicAlpha:
     # ---- approximations (exponential sums only; never counting decisions) ----
 
     def scaled_floor_bits(self, bits: int) -> int:
-        """floor(alpha * 2**bits), cached; alpha lies within 2**-bits above it."""
-        cached = self._scaled_floors.get(bits)
-        if cached is not None:
-            return cached
-        if self.kind == "quadratic":
-            val = (self._a * (1 << bits)
-                   + _floor_mul_sqrt(self._b << bits, self._D)) // self._c
-        else:
-            shift = 1 << bits
-            extra = 8
-            while True:
-                flo = (self._lo.numerator * shift) // self._lo.denominator
-                fhi = (self._hi.numerator * shift) // self._hi.denominator
-                if flo == fhi:
-                    val = flo
-                    break
-                self._refine_below(Fraction(1, shift << extra))
-                extra *= 2
-        self._scaled_floors[bits] = val
+        """floor(alpha * 2**bits), cached; alpha lies within 2**-bits above it.
+
+        The exact floor_scaled(2**bits, 1, 1), for both kinds of alpha.
+        """
+        val = self._scaled_floors.get(bits)
+        if val is None:
+            val = self._scaled_floors[bits] = self.floor_scaled(1 << bits, 1, 1)
         return val
 
     def frac_part_approx(self, h: int, n: int, m: int, eps: float = 1e-12) -> float:

@@ -262,12 +262,11 @@ def _run_expsum(cfg: ExperimentConfig) -> None:
         return
     for n in _need_n(cfg):
         q = expsum.DyadicQuery(H=apply_rule(cfg.h_rule, n), D=float(cfg.d), T=float(cfg.t), N=n)
-        rep = expsum.dyadic_bound_rhs(q, DYADIC_EPS)
-        lhs = expsum.dyadic_block_sum(alpha, q, cfg.budget, cfg.segment_cap)
+        rep, = expsum.ratio_scan(alpha, [q], DYADIC_EPS, cfg.budget, cfg.segment_cap)
         t1, t2, t3, t4 = rep.rhs_terms
-        rows.append({"N": n, "H": q.H, "D": q.D, "T": q.T, "lhs": lhs,
+        rows.append({"N": n, "H": q.H, "D": q.D, "T": q.T, "lhs": rep.lhs,
                      "term1": t1, "term2": t2, "term3": t3, "term4": t4,
-                     "rhs": rep.rhs, "ratio": lhs / rep.rhs, "eps": DYADIC_EPS})
+                     "rhs": rep.rhs, "ratio": rep.ratio, "eps": rep.eps_used})
     emit_table(rows, cfg.output_format, cfg.output_path, COLUMNS["expsum_dyadic"])
 
 

@@ -4,8 +4,9 @@ divisor counts.
 All functions are pure and deterministic. Segments are independent, so results
 for disjoint windows can be computed in any order (or in parallel) and
 concatenated. Base primes up to sqrt(hi) are cached at module level and only
-regrown when a larger window is requested; the cache grows monotonically and
-updates are idempotent, so concurrent readers are safe.
+regrown, by the prime channel's odd-cell sieve below, when a larger window is
+requested; the cache grows monotonically and updates are idempotent, so
+concurrent readers are safe.
 
 The prime channel sieves odd values only: one bool cell per odd value of
 [lo, hi), cell j standing for (lo | 1) + 2j.  The cells start from a wheel:
@@ -25,19 +26,22 @@ the mu and tau channels read.
 Squarefree flags start from a wheel: a fixed two-period pattern of the
 multiples of 4, 9, 25 and 49 (period 44100, 88 KB) is copied into each
 cache-sized block of the window and doubled in place, and the squares of
-11..59 are struck while the block is still in cache.  Squares up to the
-window width then strike one slice each, and the larger squares, each of
-which hits the window at most once, are struck with one vectorised scatter.
-No pattern the size of the segment cap is kept; a caller that flags many
-windows passes one buffer of its own as out=, so no window pays for a fresh
-array's page faults.  Every strike stores one shared read-only 0-d False
-array, so no slice store converts a Python bool first.
+11..59 are struck while the block is still in cache.  Every cell that a
+larger prime square divides then comes from one hit lister, _square_hits,
+and all of them are cleared with one scatter: the multiples of the squares
+up to the window width are listed in one np.repeat pass, and each larger
+square hits the window at most once.  No pattern the size of the segment
+cap is kept; a caller that flags many windows passes one buffer of its own
+as out=, so no window pays for a fresh array's page faults.  Every slice
+strike stores one shared read-only 0-d False array, so no slice store
+converts a Python bool first.
 
 Square radicals R(m), the product of the primes p with p*p | m, start the
 same way in a caller's int32 buffer: a two-period uint8 wheel of the
 contributions of 4, 9, 25 and 49 (period 44100, 88 KB, built on first use)
-is copied from the window's phase and doubled in place.  The larger squares
-then multiply their multiples by their primes in one vectorised scatter.
+is copied from the window's phase and doubled in place.  The same hit
+lister gives the multiples of the larger squares, and one vectorised scatter
+multiplies each by its prime.
 
 Convention cells: value 0 carries mu=0, tau=0, not prime, not squarefree;
 value 1 carries mu=1, tau=1, not prime, squarefree.
@@ -104,21 +108,22 @@ del _p
 #: Cells per wheel-fill block: the block stays in L2 while the small squares strike it.
 _SQF_BLOCK = 1 << 19
 
-#: The squares of the primes 11..59, struck block by block.
-_BLOCK_SQUARES = tuple(p * p for p in (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59))
+#: The primes 11..59, whose squares are struck block by block.
+_BLOCK_PRIMES = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
+_BLOCK_SQUARES = tuple(p * p for p in _BLOCK_PRIMES)
 
 
 def base_primes(limit: int) -> np.ndarray:
-    """Primes <= limit from the shared cache, regrown geometrically on demand."""
+    """Primes <= limit from the shared cache, regrown geometrically on demand.
+
+    A regrowth sieves [0, new_limit] with the prime channel's odd-cell
+    sieve, its base primes taken from the cache itself.
+    """
     global _base_primes, _base_limit
     if limit > _base_limit:
         new_limit = max(limit, 2 * _base_limit)
-        flags = np.ones(new_limit + 1, dtype=bool)
-        flags[:2] = False
-        for p in range(2, math.isqrt(new_limit) + 1):
-            if flags[p]:
-                flags[p * p:: p] = False
-        _base_primes = np.nonzero(flags)[0].astype(np.int64)
+        odd = _odd_prime_cells(0, new_limit + 1, base_primes(math.isqrt(new_limit)))
+        _base_primes = _odd_cell_primes(0, new_limit + 1, odd)
         _base_limit = new_limit
     return _base_primes[: int(np.searchsorted(_base_primes, limit, side="right"))]
 
@@ -305,6 +310,43 @@ def _odd_prime_cells(lo: int, hi: int, bps: np.ndarray) -> np.ndarray:
     return odd
 
 
+def _odd_cell_primes(lo: int, hi: int, odd: np.ndarray) -> np.ndarray:
+    """The primes of [lo, hi) from its odd cells: (lo | 1) + 2j for each set cell j, and 2."""
+    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
+    primes *= 2
+    primes += lo | 1
+    if lo <= 2 < hi:
+        primes = np.concatenate(([2], primes))
+    return primes
+
+
+def _square_hits(lo: int, n: int, above: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cells, primes): an entry (c, p) for each prime p > above and c in [0, n) with p*p | lo + c.
+
+    The primes run up to sqrt(lo + n - 1).  A square q <= n has its
+    multiples (-lo) mod q + k*q listed for every square in one np.repeat
+    pass; this branch is skipped when no such square is asked for, as in a
+    narrow window at large lo.  A larger square hits the window at most
+    once, at offset (-lo) mod q when that is below n.
+    """
+    ps = base_primes(math.isqrt(lo + n - 1))
+    ps = ps[int(np.searchsorted(ps, above, side="right")):]
+    qs = ps * ps
+    offsets = (-lo) % qs
+    split = int(np.searchsorted(ps, math.isqrt(n), side="right"))
+    once = np.flatnonzero(offsets[split:] < n)
+    once += split
+    cells, primes = offsets[once], ps[once]
+    if split:
+        first, q = offsets[:split], qs[:split]
+        hits = (n - 1 - first) // q + 1
+        dense = np.repeat(first - q * (np.cumsum(hits) - hits), hits)
+        dense += np.repeat(q, hits) * np.arange(dense.size)
+        cells = np.concatenate((dense, cells))
+        primes = np.concatenate((np.repeat(ps[:split], hits), primes))
+    return cells, primes
+
+
 def squarefree_flags(lo: int, hi: int, segment_cap: int = DEFAULT_SEGMENT_CAP,
                      out: Optional[np.ndarray] = None) -> np.ndarray:
     """Boolean array over [lo, hi): True where the value is squarefree.
@@ -319,21 +361,19 @@ def squarefree_flags(lo: int, hi: int, segment_cap: int = DEFAULT_SEGMENT_CAP,
     the cells past hi - lo are left alone.  Otherwise a fresh array is
     returned.
 
-    Three passes over one bool array:
+    Two passes over one bool array:
 
     1. Wheel fill, block by block (_SQF_BLOCK cells): copy one period of
        the wheel from the phase (lo + b) mod 44100, double it in place by
        slice copies (the copied length stays a multiple of the period), then
        strike the squares of 11..59 while the block is in cache.
-    2. Each square q = p*p with 59 < p and q <= hi - lo strikes every q-th
-       cell of the whole window with one slice.
-    3. A larger square has at most one multiple in the window, at offset
-       (-lo) mod q; all of those below hi - lo are struck with one scatter.
+    2. _square_hits lists every cell that the square of a prime p > 59
+       divides, and one scatter clears them all.
 
-    The flags stay exact: every pass only clears cells whose value a prime
+    The flags stay exact: both passes only clear cells whose value a prime
     square divides (the wheel clears the multiples of 4, 9, 25, 49, and
-    value 0 with them), and together the passes clear the multiples of
-    p*p for every prime p <= sqrt(hi - 1).  A value with no such divisor
+    value 0 with them), and together they clear the multiples of p*p for
+    every prime p <= sqrt(hi - 1).  A value with no such divisor
     is squarefree, since any square factor p*p of a value below hi has
     p <= sqrt(hi - 1).
     """
@@ -353,14 +393,7 @@ def squarefree_flags(lo: int, hi: int, segment_cap: int = DEFAULT_SEGMENT_CAP,
             start = b + (-(lo + b)) % q
             if start < e:
                 flags[start:e:q] = _FALSE
-    qs = base_primes(math.isqrt(hi - 1)) ** 2
-    qs = qs[int(np.searchsorted(qs, _BLOCK_SQUARES[-1], side="right")):]
-    offsets = (-lo) % qs
-    split = int(np.searchsorted(qs, n, side="right"))
-    for q, start in zip(qs[:split].tolist(), offsets[:split].tolist()):
-        flags[start::q] = _FALSE
-    single = offsets[split:]
-    flags[single[single < n]] = False
+    flags[_square_hits(lo, n, _BLOCK_PRIMES[-1])[0]] = False
     return flags
 
 
@@ -380,15 +413,12 @@ def square_radicals(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
 
     out is a caller-owned int32 buffer of at least hi - lo cells, returned as
     out[:hi - lo]; R(m)**2 divides m < GLOBAL_MAX, so R(m) <= 2**26 fits.
-    The window is tiled from the radical wheel at the phase lo mod 44100,
-    which puts in the primes 2, 3, 5 and 7.  Every larger prime p then
-    multiplies each cell of a multiple of p*p by p, all in one
-    np.multiply.at scatter, which stays exact where several primes hit the
-    same cell.  The cells are listed in numpy: every multiple of each square
-    up to hi - lo, and the one multiple, if any, of each larger square.  A
-    slice store per square would cost a few microseconds of interpreter
-    overhead for a few cells each: about 93 of them in a 2**18-cell window,
-    where all the squares from 121 up hit about 6,000 cells in total.
+    Two passes: the window is tiled from the radical wheel at the phase
+    lo mod 44100, which puts in the primes 2, 3, 5 and 7; then _square_hits
+    lists every cell that the square of a prime p > 7 divides, and one
+    np.multiply.at scatter multiplies each by its p, which stays exact where
+    several primes hit the same cell.  Every prime p with p*p | m is either
+    one of 2, 3, 5, 7 or listed at m, so R(m) comes out whole.
     """
     if lo < 1:
         raise InvalidRangeError(f"R(0) is undefined: need lo >= 1, got lo={lo}")
@@ -398,21 +428,8 @@ def square_radicals(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
     n = hi - lo
     rad = out[:n]
     _tile(rad, _radical_wheel(), lo % _WHEEL_PERIOD, _WHEEL_PERIOD)
-    ps = base_primes(math.isqrt(hi - 1))[4:]  # the wheel holds 2, 3, 5, 7
-    split = int(np.searchsorted(ps, math.isqrt(n), side="right"))
-    # p*p <= n: the multiples first + k*q for k < hits, listed square by square
-    small = ps[:split]
-    qs = small * small
-    first = (-lo) % qs
-    hits = (n - 1 - first) // qs + 1
-    cells = np.repeat(first - qs * (np.cumsum(hits) - hits), hits)
-    cells += np.repeat(qs, hits) * np.arange(cells.size)
-    # p*p > n: at most one multiple each
-    large = ps[split:]
-    offsets = (-lo) % (large * large)
-    hit = offsets < n
-    np.multiply.at(rad, np.concatenate((cells, offsets[hit])),
-                   np.concatenate((np.repeat(small, hits), large[hit])).astype(np.int32))
+    cells, primes = _square_hits(lo, n, 7)  # the wheel holds 2, 3, 5, 7
+    np.multiply.at(rad, cells, primes.astype(np.int32))
     return rad
 
 
@@ -426,25 +443,12 @@ def iter_prime_segments(
     One sieve_segment call per window; its primes are read from the odd
     cells.  Nothing of a window outlives its yield but the yielded array.
     """
-    if not (0 <= lo < hi):
-        raise InvalidRangeError(f"need 0 <= lo < hi, got [{lo}, {hi})")
-    if hi > GLOBAL_MAX:
-        raise RangeCapError(f"hi={hi} exceeds global maximum {GLOBAL_MAX}")
+    _check_window(lo, hi, GLOBAL_MAX)  # the range checks: hi - lo <= hi <= GLOBAL_MAX
     cur = lo
     while cur < hi:
         top = min(cur + segment_cap, hi)
-        yield _segment_primes(sieve_segment(cur, top, {"prime"}, segment_cap))
+        yield _odd_cell_primes(cur, top, sieve_segment(cur, top, {"prime"}, segment_cap)._odd)
         cur = top
-
-
-def _segment_primes(seg: SieveSegment) -> np.ndarray:
-    """The primes of a prime segment, (lo | 1) + 2j for each set odd cell j, and 2."""
-    primes = np.flatnonzero(seg._odd).astype(np.int64, copy=False)
-    primes *= 2
-    primes += seg.lo | 1
-    if seg.lo <= 2 < seg.hi:
-        primes = np.concatenate(([2], primes))
-    return primes
 
 
 def primes_in(lo: int, hi: int, segment_cap: int = DEFAULT_SEGMENT_CAP) -> np.ndarray:

@@ -13,11 +13,14 @@ A loop that allocates as it goes would grow for the whole time limit, some
 gigabytes on a machine shared with other jobs.  So on POSIX the session's
 address space is capped at ADDRESS_SPACE_CAP bytes (RLIMIT_AS, soft limit,
 only ever lowered), where such a loop stops with MemoryError.  Hypothesis
-takes that for a failing example and may run it again, so the time limit
-can still be what ends the test, but its memory stays under the cap.
-Children inherit the cap and may lower it further.
+would take that for a failing example and run it again, growing to the cap
+once more until the timer fired, so a MemoryError that escapes the body of
+a hypothesis test is raised again as TestOutOfMemory, a BaseException like
+TestTimedOut, and the test ends at the first one.  Children inherit the cap
+and may lower it further.
 """
 
+import functools
 import signal
 import threading
 
@@ -50,6 +53,32 @@ class TestTimedOut(BaseException):
     """A test ran past the per-test time limit."""
 
     __test__ = False  # not a test class, despite its name
+
+
+class TestOutOfMemory(BaseException):
+    """A hypothesis test ran out of the session's address space."""
+
+    __test__ = False
+
+
+def _memory_error_ends_the_test(test):
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        try:
+            return test(*args, **kwargs)
+        except MemoryError as exc:
+            raise TestOutOfMemory("MemoryError under the session's address-space cap") from exc
+
+    run.ends_at_memory_error = True
+    return run
+
+
+def pytest_collection_modifyitems(items):
+    # parametrized items share one function, so each is wrapped once
+    for item in items:
+        hyp = getattr(getattr(item, "obj", None), "hypothesis", None)
+        if hyp is not None and not getattr(hyp.inner_test, "ends_at_memory_error", False):
+            hyp.inner_test = _memory_error_ends_the_test(hyp.inner_test)
 
 
 @pytest.hookimpl(hookwrapper=True)

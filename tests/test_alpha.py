@@ -427,3 +427,11 @@ def test_poly_refinement_is_monotone_and_cached():
 def test_quadratic_scaled_floor_agrees_with_oracle(sqrt2, golden):
     assert sqrt2.scaled_floor_bits(256) == oracles.SQRT2_SCALED
     assert golden.scaled_floor_bits(256) == oracles.GOLDEN_SCALED
+
+
+def test_poly_scaled_floor_agrees_with_oracle(poly_sqrt2):
+    # the poly root of x^2 - 2 through floor_scaled's bisection; the floor
+    # at fewer bits is the 256-bit oracle shifted down
+    assert poly_sqrt2.scaled_floor_bits(256) == oracles.SQRT2_SCALED
+    for bits in (0, 1, 53, 64, 128, 255):
+        assert poly_sqrt2.scaled_floor_bits(bits) == oracles.SQRT2_SCALED >> (256 - bits), bits

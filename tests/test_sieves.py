@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -468,3 +469,72 @@ def test_square_radicals_examples_and_checks():
     for bad in (np.empty(5, dtype=np.uint8), np.empty((1, 5), dtype=np.int32), [1] * 5):
         with pytest.raises(ConfigError):
             square_radicals(1, 5, bad)
+
+
+@lru_cache(maxsize=1)
+def _primes_to_2_20():
+    # enough for every window below 2**40 + 2**20
+    return oracles.primes_between(0, (1 << 20) + 2)
+
+
+def _square_hits_oracle(lo, n, above):
+    # every (c, p), p > above prime, with p*p | lo + c, listed multiple by multiple
+    hits = []
+    for p in _primes_to_2_20():
+        q = p * p
+        if q > lo + n - 1:
+            break
+        if p > above:
+            hits += [(v - lo, p) for v in range(-(-lo // q) * q, lo + n, q)]
+    return sorted(hits)
+
+
+@st.composite
+def _square_hit_windows(draw):
+    # windows of 1..3 cells, or of a width within 3 of a prime square p*p,
+    # where p moves between the listed and the at-most-once branch; lo
+    # anywhere up to 1e6, next to a multiple of 44100, next to 2**40, or
+    # next to a multiple of p*p, where a width past p*p holds two hits
+    q = draw(st.sampled_from(oracles.primes_to(211))) ** 2
+    n = draw(st.one_of(st.integers(1, 3), st.builds(lambda d: max(1, q + d), st.integers(-3, 3))))
+    lo = draw(st.one_of(st.integers(0, 10 ** 6), _near(_WHEEL_PERIOD, 200),
+                        st.builds(lambda d: (1 << 40) + d, st.integers(-50, 50)),
+                        _near(q, 10 ** 4)))
+    return lo, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(window=_square_hit_windows(), above=st.sampled_from([0, 7, 59, 100]))
+def test_square_hits_match_brute_force_property(window, above):
+    lo, n = window
+    cells, primes = sieves._square_hits(lo, n, above)
+    assert cells.dtype == primes.dtype == np.int64
+    assert sorted(zip(cells.tolist(), primes.tolist())) == _square_hits_oracle(lo, n, above)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lo=st.one_of(st.integers(1, 3), _near(_WHEEL_PERIOD, 200), st.integers(1, 10 ** 9),
+                    st.integers(1, 10 ** 13)).map(lambda lo: max(lo, 1)),
+       width=st.one_of(st.integers(1, 3000),
+                       st.builds(lambda w, d: w + d, st.just(_SQF_BLOCK), st.integers(-3, 3))))
+def test_squarefree_flags_equal_unit_square_radicals_property(lo, width):
+    # the two sieves share the hit lister: a value is squarefree exactly
+    # when no prime square divides it, that is when R(m) == 1
+    hi = lo + width
+    rad = square_radicals(lo, hi, np.empty(width, dtype=np.int32))
+    assert np.array_equal(squarefree_flags(lo, hi), rad == 1), (lo, hi)
+
+
+def test_base_primes_match_plain_sieve_across_regrowths(monkeypatch):
+    # from the initial cache, through regrowths on both sides of 17**2 = 289,
+    # the first composite that no wheel prime 3..13 strikes
+    for limits in ([4, 16, 100, 288, 289, 290, 5000], [288, 289, 10 ** 4],
+                   [17, 30, 144, 600], [290], [10 ** 5, 7]):
+        monkeypatch.setattr(sieves, "_base_primes", np.array([2, 3], dtype=np.int64))
+        monkeypatch.setattr(sieves, "_base_limit", 3)
+        for limit in limits:
+            got = base_primes(limit)
+            assert got.dtype == np.int64
+            assert got.tolist() == oracles.primes_between(0, limit + 1), (limits, limit)
+        assert sieves._base_primes.tolist() == \
+            oracles.primes_between(0, sieves._base_limit + 1), limits
