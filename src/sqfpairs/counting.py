@@ -5,41 +5,48 @@ comparison against the density prediction, so observed convergence can never
 be a rounding artifact.  Every count over primes reads one stream of
 (primes, floors) segments, one per prime window of min(segment_cap,
 _PRIME_WINDOW) values whatever alpha is (512 KiB of odd cells, which stay in
-cache while the base primes strike them).  _floor_windows cuts a segment's
-ascending floors greedily into runs whose floor window [fl[a], fl[b-1] + 2),
-holding every m = [alpha*p] and m + 1 of the run, spans at most a given number
-of cells: segment_cap for the squarefree flags, so one sieve call covers a
-run, and a large alpha cuts one prime window into many runs.  A count flags
-its runs into one buffer of its own, grown to min(segment_cap, floor span of
-the widest prime window met), which holds every run of that window, so
-memory stays bounded by the segment cap for every alpha.  Sizing by the
-prime window rather than by the run matters at large alpha: the runs there
-differ by a few hundred cells just below the cap, and regrowing a 4 MiB
-buffer by that much left it resident after the count (peak RSS rose 2.5 MiB
-on a pair count at alpha near 31, N = 3e7).  A grown buffer is allocated
-only after every reference to the old one is dropped: allocated while the
-old one lives, glibc's malloc can place it above the old one on the heap,
-and the freed old buffer then stays resident (peak RSS rose 4 MiB there).
+cache while the base primes strike them).
 
-decompose reads radicals instead of flags.  It cuts each segment's floors the
-same way into runs of at most min(segment_cap, _RAD_BLOCK) cells (1 MiB of
-int32, which stays in cache while the small squares strike it) and keeps one
-int32 buffer grown to the widest run met, so its memory is set by _RAD_BLOCK
-rather than the segment cap.  sieves.square_radicals fills a run by tiling a
-wheel of the radicals of 4, 9, 25 and 49, then scatters the larger squares.
-The primes of a run are tallied by class with np.unique, and the run
-tallies are merged into one sorted int64 (keys, counts) pair whenever the
-pending ones outgrow it, so the tally's memory follows the number of
-distinct classes, not of runs.  Only the distinct radicals reach Python, to
-be factored once; the classes are expanded into their signed (d, t) terms in
-numpy.
+The sieve-backed counts share one pass, _floor_runs.  It skips a segment's
+zero floors (alpha < 1/2 only), and _floor_windows cuts the rest greedily
+into runs whose floor window [fl[a], fl[b-1] + 2), holding every
+m = [alpha*p] and m + 1 of the run, spans at most span cells, so one sieve
+call covers a run and a large alpha cuts one prime window into many runs.
+Each run is sieved into one buffer per count, and the values at m and m + 1
+are gathered into fresh arrays, so no view of the buffer outlives it.  The
+span is segment_cap for the squarefree flags of pair_count and single_count,
+and min(segment_cap, _RAD_BLOCK) for the int32 radicals of decompose (1 MiB,
+which stays in cache while the small squares strike it), so memory is
+bounded by the segment cap, and decompose's by _RAD_BLOCK, for every alpha.
+
+The one buffer rule: the buffer grows to min(span, floor span of the widest
+prime window met), which holds every run of that window.  Sizing by the
+prime window rather than by the run matters: the runs differ by a few to a
+few hundred cells just below the span, and regrowing a 4 MiB flag buffer by
+that much left it resident after the count (peak RSS rose 2.5 MiB on a pair
+count at alpha near 31, N = 3e7).  A grown buffer is allocated only after
+every reference to the old one is dropped: allocated while the old one
+lives, glibc's malloc can place it above the old one on the heap, and the
+freed old buffer then stays resident (peak RSS rose 4 MiB there).  A
+window's floors and gathered arrays are dropped before the stream makes the
+next window: held across it, they add to that window's sieve and floors at
+the peak, and the peak RSS of the benchmark's pairs-sweep, pairs-wide and
+decompose runs was 0.6 to 0.85 MiB higher on a 2-core x86-64 VM.
+
+sieves.square_radicals fills a decompose run by tiling a wheel of the
+radicals of 4, 9, 25 and 49, then scatters the larger squares.  The primes
+of a run are tallied by class with np.unique, and the run tallies are merged
+into one sorted int64 (keys, counts) pair whenever the pending ones outgrow
+it, so the tally's memory follows the number of distinct classes, not of
+runs.  Only the distinct radicals reach Python, to be factored once; the
+classes are expanded into their signed (d, t) terms in numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -169,28 +176,49 @@ def carlitz_count(N: int, segment_cap: int = DEFAULT_SEGMENT_CAP) -> int:
     return count
 
 
-def _count_over_primes(alpha: AlgebraicAlpha, N: int, pair: bool, segment_cap: int):
-    count = pi_n = 0
-    buf = np.empty(0, dtype=bool)
-    for ps, fls in _prime_floors(alpha, N, segment_cap):
-        pi_n += int(ps.size)
-        # every run of this prime window fits in its capped floor span (module docstring)
-        size = min(segment_cap, int(fls[-1]) + 2 - int(fls[0]))
+def _floor_runs(stream, span, sieve, dtype):
+    """Per run of the floors of stream: (n, values at m, values at m + 1), fresh arrays.
+
+    stream is _prime_floors' (primes, floors) windows; n counts the primes
+    the item covers.  The zero floors of a window (alpha < 1/2 only) make one
+    item of empty values: 0 is not squarefree and has no radical.  The
+    other floors are cut by _floor_windows at span, and sieve(lo, hi,
+    out=buf) fills each run's values into the one buffer (module docstring).
+    """
+    buf = np.empty(0, dtype=dtype)
+    for ps, fls in stream:
+        zeros = int(np.searchsorted(fls, 1))  # floors ascend: the zeros are a prefix
+        if zeros:
+            yield zeros, np.empty(0, dtype=dtype), np.empty(0, dtype=dtype)
+        fls = fls[zeros:]
+        # every run of this prime window fits in its capped floor span
+        size = min(span, int(fls[-1]) + 2 - int(fls[0])) if fls.size else 0
         if buf.size < size:
             buf = None  # drop the old buffer first (module docstring)
-            buf = np.empty(size, dtype=bool)
-        for fl in _floor_windows(fls, segment_cap):
+            buf = np.empty(size, dtype=dtype)
+        for fl in _floor_windows(fls, span):
             lo = int(fl[0])
-            hi = int(fl[-1]) + 2
-            squarefree_flags(lo, hi, segment_cap, out=buf)
-            # every index lies in [0, hi - lo), so "clip" only skips the bounds check
+            sieve(lo, int(fl[-1]) + 2, out=buf)
+            # every index lies in the sieved run, so "clip" only skips the bounds check
             idx = fl - lo
-            hit = np.take(buf, idx, mode="clip")
-            if pair:
-                idx += 1
-                hit &= np.take(buf, idx, mode="clip")
-            count += int(np.count_nonzero(hit))
-    return count, pi_n
+            at_m = np.take(buf, idx, mode="clip")
+            idx += 1
+            yield fl.size, at_m, np.take(buf, idx, mode="clip")
+        fls = fl = idx = at_m = None  # dropped before the next window (module docstring)
+
+
+def _count_over_primes(alpha: AlgebraicAlpha, N: int, segment_cap: int):
+    """(pair count, single count, prime count) of the primes p <= N, from one pass."""
+    pairs = singles = pi_n = 0
+    # looked up as the count runs, so that a patched squarefree_flags is the one called
+    flags = partial(squarefree_flags, segment_cap=segment_cap)
+    for n, at_m, at_m1 in _floor_runs(_prime_floors(alpha, N, segment_cap), segment_cap,
+                                      flags, bool):
+        pi_n += n
+        singles += int(np.count_nonzero(at_m))
+        at_m &= at_m1
+        pairs += int(np.count_nonzero(at_m))
+    return pairs, singles, pi_n
 
 
 def _report(alpha: AlgebraicAlpha, N: int, count: int, pi_n: int, density: float) -> PairCountReport:
@@ -210,14 +238,14 @@ def _report(alpha: AlgebraicAlpha, N: int, count: int, pi_n: int, density: float
 def pair_count(alpha: AlgebraicAlpha, N: int,
                segment_cap: int = DEFAULT_SEGMENT_CAP) -> PairCountReport:
     """Count primes p <= N with [alpha*p] and [alpha*p]+1 both squarefree."""
-    count, pi_n = _count_over_primes(alpha, N, True, segment_cap)
+    count, _, pi_n = _count_over_primes(alpha, N, segment_cap)
     return _report(alpha, N, count, pi_n, sigma_midpoint())
 
 
 def single_count(alpha: AlgebraicAlpha, N: int,
                  segment_cap: int = DEFAULT_SEGMENT_CAP) -> PairCountReport:
     """Count primes p <= N with [alpha*p] squarefree (prediction 6/pi^2 * pi(N))."""
-    count, pi_n = _count_over_primes(alpha, N, False, segment_cap)
+    _, count, pi_n = _count_over_primes(alpha, N, segment_cap)
     return _report(alpha, N, count, pi_n, basel_midpoint())
 
 
@@ -311,15 +339,15 @@ def decompose(alpha: AlgebraicAlpha, N: int, z: float,
     sigma1 + sigma2 equals the pair count exactly for every split point.
 
     Those sums depend on m only through its class (R, S): R is the product of
-    the primes whose square divides m, S the same for m+1.  The floors of
-    each prime window are cut by _floor_windows into runs of at most
-    min(segment_cap, _RAD_BLOCK) cells, m + 1 of the last floor inside.  R is
-    sieved over the run into one int32 buffer by sieves.square_radicals: the
-    run is tiled from a wheel of the radicals of 4, 9, 25 and 49, and every
-    larger square multiplies its multiples in the run by its prime in one
-    np.multiply.at scatter.  The run's primes are tallied as int64
-    keys R << 32 | S (both at most 2**26) with np.unique, and the run
-    tallies are merged into one sorted (keys, counts) pair whenever the
+    the primes whose square divides m, S the same for m+1.  _floor_runs
+    cuts the floors into runs of at most min(segment_cap, _RAD_BLOCK) cells,
+    m + 1 of the last floor inside, and gathers R at m and m + 1 from the
+    run's radicals, which sieves.square_radicals sieves into the count's one
+    int32 buffer: the run is tiled from a wheel of the radicals of 4, 9, 25
+    and 49, and every larger square multiplies its multiples in the run by
+    its prime in one np.multiply.at scatter.  The run's primes are tallied
+    as int64 keys R << 32 | S (both at most 2**26) with np.unique, and the
+    run tallies are merged into one sorted (keys, counts) pair whenever the
     pending ones hold more entries than it, so memory follows the number of
     distinct classes, not the number of runs.  Each distinct radical is then
     factored once and every class expanded in numpy (_split_sums), sigma1
@@ -339,27 +367,17 @@ def decompose(alpha: AlgebraicAlpha, N: int, z: float,
     pending = []  # run tallies not yet merged into tally
     pending_size = 0
     # R^2 divides m <= GLOBAL_MAX = 2**52, so R <= 2**26 fits int32
-    buf = np.empty(0, dtype=np.int32)
-    for _, fls in stream:
-        fls = fls[int(np.searchsorted(fls, 1)):]  # floors ascend: the zeros are a prefix
-        for fl in _floor_windows(fls, min(segment_cap, _RAD_BLOCK)):
-            lo = int(fl[0])
-            hi = int(fl[-1]) + 2
-            if buf.size < hi - lo:
-                buf = rad = None  # drop the old buffer first (module docstring)
-                buf = np.empty(hi - lo, dtype=np.int32)
-            rad = square_radicals(lo, hi, buf)
-            idx = fl - lo
-            keys = rad[idx].astype(np.int64)
-            keys <<= 32
-            idx += 1
-            keys |= rad[idx]
-            pending.append(np.unique(keys, return_counts=True))
-            pending_size += pending[-1][0].size
-            if pending_size > tally[0].size:
-                tally = _merge_tallies(tally, *pending)
-                pending = []
-                pending_size = 0
+    for _, rad_m, rad_m1 in _floor_runs(stream, min(segment_cap, _RAD_BLOCK),
+                                        square_radicals, np.int32):
+        keys = rad_m.astype(np.int64)
+        keys <<= 32
+        keys |= rad_m1
+        pending.append(np.unique(keys, return_counts=True))
+        pending_size += pending[-1][0].size
+        if pending_size > tally[0].size:
+            tally = _merge_tallies(tally, *pending)
+            pending = []
+            pending_size = 0
 
     sigma1, sigma2 = _split_sums(*_merge_tallies(tally, *pending), z)
     return DecompositionReport(N=N, z=z, sigma1=sigma1, sigma2=sigma2,

@@ -339,23 +339,42 @@ def large_alpha_specs(draw):
     return f"quad:{a},{b},{c},{D}", oracles.quad_alpha_bits(a, b, c, D)
 
 
+@st.composite
+def decompose_alpha_specs(draw):
+    """Specs with alpha below 1/2, from 1 to 30, or from about 30 to 1e4, plus their oracle bits."""
+    kind = draw(st.sampled_from(("small", "mid", "large")))
+    if kind == "large":
+        return draw(large_alpha_specs())
+    D = draw(st.integers(2, 900))
+    assume(math.isqrt(D) ** 2 != D)
+    if kind == "mid":
+        return f"sqrt:{D}", oracles.quad_alpha_bits(0, 1, 1, D)
+    c = draw(st.integers(2 * math.isqrt(D) + 2, 2 * math.isqrt(D) + 40))  # sqrt(D)/c < 1/2
+    return f"quad:0,1,{c},{D}", oracles.quad_alpha_bits(0, 1, c, D)
+
+
 @settings(max_examples=60, deadline=None)
-@given(spec_bits=large_alpha_specs(), N=st.integers(2, 800),
+@given(spec_bits=decompose_alpha_specs(), N=st.integers(2, 800),
        cap=st.one_of(st.integers(2, 64), st.integers(2, 2 ** 16)),
        d=st.integers(1, 4), t=st.integers(1, 4), z_frac=st.floats(0.0, 1.0))
 def test_large_alpha_counts_match_brute_force(spec_bits, N, cap, d, t, z_frac):
     # alpha up to about 1e4, caps from 2 up: each prime window is cut into
-    # many floor windows, or into one floor a window once alpha >= cap
+    # many floor windows, or into one floor a window once alpha >= cap; and
+    # alphas below 1/2 start with zero floors, which no count takes
     assume(math.gcd(d, t) == 1)
     spec, scaled = spec_bits
     alpha = _alpha(spec)
-    assert pair_count(alpha, N, cap).count == oracles.brute_pair_count(N, scaled)
+    rep = pair_count(alpha, N, cap)
+    assert rep.count == oracles.brute_pair_count(N, scaled)
+    assert rep.prime_count == len(oracles.primes_to(N))
     assert single_count(alpha, N, cap).count == oracles.brute_single_count(N, scaled)
     assert congruence_pair_count(alpha, N, d, t, cap) == \
         oracles.brute_congruence_count(N, scaled, d, t)
-    z = 1.0 + z_frac * ((alpha.to_float() * N) ** (2.0 / 3.0) - 1.0)
-    rep = decompose(alpha, N, z, cap)
-    assert (rep.sigma1, rep.sigma2) == oracles.brute_decompose(N, scaled, z)
+    z_top = (alpha.to_float() * N) ** (2.0 / 3.0)
+    if z_top >= 1.0:  # else every floor is 0, and no z is in range
+        z = 1.0 + z_frac * (z_top - 1.0)
+        rep = decompose(alpha, N, z, cap)
+        assert (rep.sigma1, rep.sigma2) == oracles.brute_decompose(N, scaled, z)
 
 
 def test_huge_segment_cap_sizes_no_buffer_to_the_cap(sqrt2):
@@ -372,6 +391,41 @@ def test_huge_segment_cap_sizes_no_buffer_to_the_cap(sqrt2):
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 19, peak
+
+
+def _spy_buffer_sizes(monkeypatch, name):
+    sizes = set()
+    fn = getattr(counting, name)
+
+    def spy(lo, hi, *args, **kwargs):
+        sizes.add((kwargs["out"] if "out" in kwargs else args[-1]).size)
+        return fn(lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(counting, name, spy)
+    return sizes
+
+
+@pytest.mark.parametrize("spec, N", [
+    ("quad:1,1,2,5", 3 * 10 ** 6),
+    ("poly:-30000,0,0,1@31/1,32/1", 3 * 10 ** 6),
+    ("sqrt:123456789", 10 ** 5),
+])
+def test_each_count_sieves_into_one_buffer(monkeypatch, spec, N):
+    # each count sizes its one buffer on the first prime window, whose
+    # floors here span more than _RAD_BLOCK cells; sized to the widest run
+    # met instead, the radical buffer was regrown by a few cells once or twice
+    alpha = _alpha(spec)
+    flag_sizes = _spy_buffer_sizes(monkeypatch, "squarefree_flags")
+    radical_sizes = _spy_buffer_sizes(monkeypatch, "square_radicals")
+    rep = pair_count(alpha, N)
+    assert decompose(alpha, N, N ** 0.3).total == rep.count
+    assert len(flag_sizes) == 1, flag_sizes
+    assert radical_sizes == {counting._RAD_BLOCK}
+
+
+def test_pair_count_reads_every_prime_across_prime_windows(sqrt2):
+    # ten prime windows of 2**20 values: pi(10**7) from OEIS A006880
+    assert pair_count(sqrt2, 10 ** 7).prime_count == 664579
 
 
 def test_counts_agree_with_floor_blocks_below_at_and_above_the_prime_window():
@@ -481,20 +535,6 @@ def test_square_divisors_match_brute_force(r):
     # factored over exactly the primes up to sqrt(r)
     primes = base_primes(math.isqrt(r)).tolist()
     assert sorted(counting._square_divisors(r, primes)) == _brute_square_divisors(r)
-
-
-@st.composite
-def decompose_alpha_specs(draw):
-    """Specs with alpha below 1/2, from 1 to 30, or from about 30 to 1e4, plus their oracle bits."""
-    kind = draw(st.sampled_from(("small", "mid", "large")))
-    if kind == "large":
-        return draw(large_alpha_specs())
-    D = draw(st.integers(2, 900))
-    assume(math.isqrt(D) ** 2 != D)
-    if kind == "mid":
-        return f"sqrt:{D}", oracles.quad_alpha_bits(0, 1, 1, D)
-    c = draw(st.integers(2 * math.isqrt(D) + 2, 2 * math.isqrt(D) + 40))  # sqrt(D)/c < 1/2
-    return f"quad:0,1,{c},{D}", oracles.quad_alpha_bits(0, 1, c, D)
 
 
 @settings(max_examples=80, deadline=None)

@@ -51,6 +51,12 @@ def test_prime_count_examples():
     assert prime_count(10 ** 6) == 78498
 
 
+def test_prime_count_matches_published_powers_of_ten():
+    # pi(10**k), k = 1..8, from OEIS A006880
+    published = [4, 25, 168, 1229, 9592, 78498, 664579, 5761455]
+    assert [prime_count(10 ** k) for k in range(1, 9)] == published
+
+
 def test_primes_in_examples():
     assert primes_in(2, 10).tolist() == [2, 3, 5, 7]
     assert primes_in(90, 97).tolist() == []
