@@ -332,21 +332,29 @@ class AlgebraicAlpha:
     # ---- conversions ----
 
     def to_float(self) -> float:
-        """Double-precision approximation (diagnostics and bound checks only)."""
-        if self.kind == "quadratic":
-            return (self._a + self._b * math.sqrt(self._D)) / self._c
-        self._refine_below(Fraction(1, 1 << 64))
-        mid = (self._lo + self._hi) / 2
-        return mid.numerator / mid.denominator
+        """fl(alpha): alpha rounded to the nearest double, for both kinds.
+
+        With A = scaled_floor_bits(bits), alpha lies strictly between
+        A/2**bits and (A + 1)/2**bits (it is irrational).  Int / int division
+        rounds correctly and rounding is monotone, so once both ends round to
+        the same double, that double is fl(alpha); bits doubles until they do.
+        """
+        bits = 64
+        while True:
+            A = self.scaled_floor_bits(bits)
+            v = A / (1 << bits)
+            if v == (A + 1) / (1 << bits):
+                return v
+            bits *= 2
 
     def floors_bulk(self, ns) -> np.ndarray:
         """[alpha * n] for an array of n >= 0; exact despite the float fast path.
 
-        With v = fl(alpha) and r = fl(n*v), a float floor(r) is kept only when
-        the fraction fr = r - floor(r) sits safely away from 0 and 1; the rare
-        suspects fall back to the exact per-element floor_times.  Empty input
-        gives an empty array; a negative n raises InvalidRangeError, as in
-        floor_times.
+        With v = to_float(), which is fl(alpha), and r = fl(n*v), a float
+        floor(r) is kept only when the fraction fr = r - floor(r) sits safely
+        away from 0 and 1; the rare suspects fall back to the exact
+        per-element floor_times.  Empty input gives an empty array; a
+        negative n raises InvalidRangeError, as in floor_times.
 
         The margin M = fl(256*spacing(R) + 1e-15), R = max r, is one scalar
         for the whole array, and a point is a suspect when

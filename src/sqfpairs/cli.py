@@ -24,9 +24,6 @@ from .alpha import parse_alpha
 from .errors import CapError, ConfigError, RangeCapError
 from .sieves import DEFAULT_SEGMENT_CAP
 
-COMMANDS = ("sigma", "carlitz", "pairs", "single", "decompose", "expsum",
-            "discrepancy", "fit")
-
 #: Fixed CSV column orders, one entry per command/mode (documented in README).
 COLUMNS = {
     "sigma": ("lo", "hi", "width", "midpoint"),
@@ -52,6 +49,8 @@ _MAX_COUNT_DIGITS = 30
 
 @dataclass
 class ExperimentConfig:
+    """One experiment; the only copy of each option's default."""
+
     command: str
     alpha_spec: str = ""
     n_values: tuple = ()
@@ -324,33 +323,6 @@ def run(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--alpha", default="", help="alpha spec: sqrt:D | quad:a,b,c,D | poly:c0,..,ck@lo,hi")
-    common.add_argument("--n", default="", help="comma-separated N list, 1e6 shorthand ok")
-    common.add_argument("--P", default="",
-                        help="Euler product truncation (sigma command)")
-    common.add_argument("--z", default="pow:0.1", help="z rule: pow:x or fixed:v")
-    common.add_argument("--H", default="pow:0.2", help="H rule: pow:x or fixed:v")
-    common.add_argument("--d", default="1", help="modulus factor d, 1e3 shorthand ok")
-    common.add_argument("--t", default="1", help="modulus factor t, 1e3 shorthand ok")
-    common.add_argument("--h", default=None)
-    common.add_argument("--interval", default="", help="a,b with 0 <= a < b <= 1")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--out", default="-", help="output path, - for stdout")
-    common.add_argument("--segment-cap", default=str(DEFAULT_SEGMENT_CAP))
-    common.add_argument("--budget", default=str(expsum.DEFAULT_BUDGET))
-    parser = argparse.ArgumentParser(
-        prog="sqfpairs",
-        description="Desk-verification experiments for consecutive squarefree "
-                    "values of [alpha*p].",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sub.add_parser(name, parents=[common])
-    return parser
-
-
 def _parse_modulus_factor(token: str) -> int:
     """--d or --t through parse_count, whose digit limit also keeps float(d) finite."""
     try:
@@ -359,33 +331,76 @@ def _parse_modulus_factor(token: str) -> int:
         raise RangeCapError(f"--d and --t must be at most {_MAX_COUNT_DIGITS} digits long") from None
 
 
-def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    interval = None
-    if args.interval:
-        parts = args.interval.split(",")
-        if len(parts) != 2:
-            raise ConfigError("--interval needs exactly a,b")
-        try:
-            interval = (float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise ConfigError(f"bad interval {args.interval!r}") from None
-    P = parse_count(args.P) if args.P else 10 ** 6
-    return ExperimentConfig(
-        command=args.command,
-        alpha_spec=args.alpha,
-        n_values=parse_number_list(args.n) if args.n else (),
-        z_rule=args.z,
-        h_rule=args.H,
-        output_format=args.format,
-        output_path=args.out,
-        segment_cap=parse_count(args.segment_cap),
-        budget=parse_count(args.budget),
-        P=P,
-        d=_parse_modulus_factor(args.d),
-        t=_parse_modulus_factor(args.t),
-        h=parse_count(args.h) if args.h is not None else None,
-        interval=interval,
+def _parse_interval(text: str) -> tuple:
+    """--interval a,b as two floats; erdos_turan_bound checks 0 <= a < b <= 1."""
+    try:
+        a, b = map(float, text.split(","))
+    except ValueError:
+        raise ConfigError(f"--interval needs exactly a,b, got {text!r}") from None
+    return a, b
+
+
+#: Each option's ExperimentConfig field, the parser of its text and its help.
+_FIELDS = {
+    "--alpha": ("alpha_spec", str, "alpha spec: sqrt:D | quad:a,b,c,D | poly:c0,..,ck@lo,hi"),
+    "--n": ("n_values", parse_number_list, "comma-separated N list, 1e6 shorthand ok"),
+    "--P": ("P", parse_count, "Euler product truncation"),
+    "--z": ("z_rule", str, "z rule: pow:x or fixed:v"),
+    "--H": ("h_rule", str, "dyadic H rule: pow:x or fixed:v"),
+    "--d": ("d", _parse_modulus_factor, "modulus factor d, 1e3 shorthand ok"),
+    "--t": ("t", _parse_modulus_factor, "modulus factor t, 1e3 shorthand ok"),
+    "--h": ("h", parse_count, "expsum: the one h to sum at; discrepancy: Erdos-Turan H"),
+    "--interval": ("interval", _parse_interval, "a,b with 0 <= a < b <= 1"),
+    "--segment-cap": ("segment_cap", parse_count, "cells per sieve window"),
+    "--budget": ("budget", parse_count, "cap on exponential terms"),
+    "--format": ("output_format", str, "csv or json"),
+    "--out": ("output_path", str, "output path, - for stdout"),
+}
+
+_PAIR_OPTIONS = ("--alpha", "--n", "--segment-cap")
+
+#: The options each command reads besides --format and --out; any other
+#: option is an argparse error (exit 2).
+OPTIONS = {
+    "sigma": ("--P",),
+    "carlitz": ("--n", "--segment-cap"),
+    "pairs": _PAIR_OPTIONS,
+    "single": _PAIR_OPTIONS,
+    "decompose": _PAIR_OPTIONS + ("--z",),
+    "expsum": ("--alpha", "--n", "--H", "--d", "--t", "--h", "--segment-cap", "--budget"),
+    "discrepancy": ("--alpha", "--n", "--d", "--t", "--h", "--interval", "--segment-cap",
+                    "--budget"),
+    "fit": _PAIR_OPTIONS,
+}
+
+COMMANDS = tuple(OPTIONS)
+
+_OUTPUT = ("--format", "--out")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command with only its own options, spelled in full
+    (--h must not abbreviate --help), and no defaults: an option left out is
+    absent from the namespace."""
+    parser = argparse.ArgumentParser(
+        prog="sqfpairs",
+        description="Desk-verification experiments for consecutive squarefree "
+                    "values of [alpha*p].",
     )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in COMMANDS:
+        cmd = sub.add_parser(name, argument_default=argparse.SUPPRESS, allow_abbrev=False)
+        for flag in OPTIONS[name] + _OUTPUT:
+            field, _, help_text = _FIELDS[flag]
+            cmd.add_argument(flag, dest=field, metavar=flag[2:].upper(), help=help_text)
+    return parser
+
+
+def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """Parse the options given; ExperimentConfig supplies the rest."""
+    fields = (_FIELDS[flag] for flag in OPTIONS[args.command] + _OUTPUT)
+    return ExperimentConfig(command=args.command, **{
+        field: parse(getattr(args, field)) for field, parse, _ in fields if hasattr(args, field)})
 
 
 def main(argv=None) -> int:

@@ -105,21 +105,14 @@ def sigma_enclosure(P: int) -> Enclosure:
     return Enclosure(_dn2(math.exp(lo_sum)), _up2(math.exp(hi_sum)))
 
 
-#: Largest p whose square p*p fits int64 (about 3.04e9).
-_INT64_SQUARE_MAX = math.isqrt(2 ** 63 - 1)
-
-
 def _two_over_square(ps: np.ndarray) -> np.ndarray:
     """2.0 / (p*p) per prime, as Python's float division by the int p*p rounds it.
 
-    p*p is exact in int64 up to _INT64_SQUARE_MAX and converts to float with
-    one round to nearest, as int -> float does; larger p take the scalar path.
+    For p <= 2**52, p is exact in float64 and fl(p*p) is the correctly
+    rounded square, the same double as int -> float conversion of p*p.
     """
-    k = int(np.searchsorted(ps, _INT64_SQUARE_MAX, side="right"))
-    x = 2.0 / (ps[:k] * ps[:k]).astype(np.float64)
-    if k == ps.size:
-        return x
-    return np.concatenate((x, [2.0 / (p * p) for p in ps[k:].tolist()]))
+    p = ps.astype(np.float64)
+    return 2.0 / (p * p)
 
 
 def _log1p(x: np.ndarray) -> np.ndarray:

@@ -371,7 +371,8 @@ def _convergent_denominators(alpha, top):
 
 
 @pytest.mark.parametrize("spec", ["sqrt:2", "quad:1,1,2,5", "quad:-3,7,5,11",
-                                  "poly:-30000,0,0,1@31/1,32/1"])
+                                  "poly:-30000,0,0,1@31/1,32/1",
+                                  "quad:-1000000,1,1,1000000000001"])
 def test_floors_bulk_at_convergent_denominators(spec):
     # n = k*q for a convergent denominator q (and n +- 1) puts alpha*n within
     # about k/q of an integer, on either side, up to alpha*n near GLOBAL_MAX;
@@ -387,6 +388,20 @@ def test_floors_bulk_at_convergent_denominators(spec):
     shuffled = ns[::2][::-1] + ns[1::2]
     for batch in (shuffled, near, near[::-1], [ns[-1], *near[:3]]):
         assert alpha.floors_bulk(batch).tolist() == [alpha.floor_times(n) for n in batch]
+
+
+# sqrt(10^12 + 1) - 10^6 and sqrt(10^16 + 1) - 10^8 cancel when
+# (a + b*sqrt(D))/c is evaluated in floats; the root of x^2 + 1e8*x - 1 near
+# 1e-8 is small against an absolute 2**-65
+@pytest.mark.parametrize("spec", ["quad:-1000000,1,1,1000000000001",
+                                  "quad:-100000000,1,1,10000000000000001",
+                                  "poly:-1,100000000,1@0/1,1/1", "sqrt:2", "quad:1,1,2,5",
+                                  "poly:-2,0,1@1/1,2/1", "quad:-3,7,5,11",
+                                  "poly:-30000,0,0,1@31/1,32/1"])
+def test_to_float_is_alpha_rounded_to_nearest(spec):
+    # floors_bulk's margin proof takes v = fl(alpha)
+    alpha = _alpha(spec)
+    assert alpha.to_float() == float(Fraction(alpha.scaled_floor_bits(256), 2 ** 256))
 
 
 def test_floors_bulk_empty_and_unsorted(sqrt2, poly_sqrt2):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,11 +9,12 @@ from pathlib import Path
 import pytest
 
 import sqfpairs
-from sqfpairs import counting
+from sqfpairs import cli, counting
 from sqfpairs.alpha import AlgebraicAlpha
 from sqfpairs.cli import (
     COLUMNS,
     COMMANDS,
+    OPTIONS,
     ExperimentConfig,
     apply_rule,
     build_parser,
@@ -261,10 +263,53 @@ def test_package_and_cli_modules_run_as_main():
     assert proc.returncode == 2 and "requires --alpha" in proc.stderr
 
 
+#: One valid value per option, the ExperimentConfig field it sets and its parse.
+_SAMPLES = {
+    "--alpha": ("sqrt:3", "alpha_spec", "sqrt:3"),
+    "--n": ("1e2,1e3", "n_values", (100, 1000)),
+    "--P": ("1e4", "P", 10 ** 4),
+    "--z": ("fixed:5", "z_rule", "fixed:5"),
+    "--H": ("fixed:4", "h_rule", "fixed:4"),
+    "--d": ("2e0", "d", 2),
+    "--t": ("3", "t", 3),
+    "--h": ("5", "h", 5),
+    "--interval": ("0,0.25", "interval", (0.0, 0.25)),
+    "--segment-cap": ("1e3", "segment_cap", 1000),
+    "--budget": ("1e7", "budget", 10 ** 7),
+    "--format": ("json", "output_format", "json"),
+    "--out": ("x.csv", "output_path", "x.csv"),
+}
+
+
 def test_every_command_parses_to_the_default_config():
     parser = build_parser()
     for name in COMMANDS:
-        assert config_from_args(parser.parse_args([name])) == ExperimentConfig(command=name)
+        default = ExperimentConfig(command=name)
+        assert config_from_args(parser.parse_args([name])) == default
+        for flag in OPTIONS[name] + cli._OUTPUT:
+            text, field, value = _SAMPLES[flag]
+            cfg = config_from_args(parser.parse_args([name, flag, text]))
+            assert cfg == dataclasses.replace(default, **{field: value}), (name, flag)
+
+
+_STRAY = [(name, flag) for name in COMMANDS for flag in _SAMPLES
+          if flag not in OPTIONS[name] + cli._OUTPUT]
+
+
+@pytest.mark.parametrize("name, flag", _STRAY)
+def test_option_a_command_does_not_read_exits_2(name, flag, capsys, monkeypatch):
+    # each command accepts only the options it reads: 56 (command, option)
+    # pairs, each refused by argparse before any work runs
+    def no_run(cfg):
+        raise AssertionError("run called")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    own = {"--alpha": "sqrt:2", "--n": "1e3", "--P": "1e4"}
+    argv = [name] + [a for f in OPTIONS[name] if f in own for a in (f, own[f])]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, _SAMPLES[flag][0]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_oversized_dyadic_blocks_exit_3(tmp_path):

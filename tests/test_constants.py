@@ -14,7 +14,7 @@ from sqfpairs import (
     tail_tau_sum,
     zeta2_enclosure,
 )
-from sqfpairs.constants import _INT64_SQUARE_MAX, _two_over_square
+from sqfpairs.constants import _two_over_square
 from sqfpairs.errors import InvalidRangeError
 
 # Product over all primes of (1 - 2/p^2), recorded once from a P = 10^8 run
@@ -80,11 +80,12 @@ def test_sigma_enclosure_matches_per_prime_loop(P):
 
 
 def test_two_over_square_rounds_like_python_int_division():
-    # p*p is rounded once to float, in int64 below the overflow point and as
-    # a Python int above it; the values need not be prime here
-    top = _INT64_SQUARE_MAX
+    # p*p is rounded once to float, on both sides of 3037000499, the largest
+    # p whose square fits int64, and up to GLOBAL_MAX; the values need not be
+    # prime here
+    top = 3037000499
     ps = np.array([2, 3, 94906263, 94906267, 2 ** 31 - 1, top - 1, top, top + 1,
-                   2 ** 32 + 15, 2 ** 40 + 1], dtype=np.int64)
+                   2 ** 32 + 15, 2 ** 40 + 1, 2 ** 52 - 1], dtype=np.int64)
     got = _two_over_square(ps)
     assert got.tolist() == [2.0 / (p * p) for p in ps.tolist()]
 

@@ -17,6 +17,7 @@ from sqfpairs import (
     pair_count,
     parse_alpha,
     prime_count,
+    primes_in,
     single_count,
 )
 from sqfpairs import counting, sieves
@@ -72,6 +73,29 @@ def test_counts_monotone_in_N(sqrt2):
         s = single_count(sqrt2, N).count
         assert p >= pair_prev and s >= single_prev
         pair_prev, single_prev = p, s
+
+
+def test_pair_count_where_float_alpha_cancels():
+    # alpha = sqrt(10^12 + 1) - 10^6, about 5e-7, whose float evaluation as
+    # (a + b*sqrt(D))/c was off by a relative 7.6e-6 and let floors_bulk keep
+    # wrong float floors (263923).  Oracle: the least n with [alpha*n] >= k,
+    # by bisection on the exact floor_times, and each prime's floor from
+    # those boundaries.
+    alpha = parse_alpha("quad:-1000000,1,1,1000000000001")
+    N = 10 ** 7
+    top = alpha.floor_times(N)
+    bounds = []
+    for k in range(1, top + 1):
+        lo, hi = 0, N  # [alpha*lo] < k <= [alpha*hi]
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if alpha.floor_times(mid) >= k else (mid, hi)
+        bounds.append(hi)
+    floors = np.searchsorted(bounds, primes_in(2, N + 1), side="right")
+    expected = sum(int(np.count_nonzero(floors == k)) for k in range(1, top + 1)
+                   if oracles.squarefree(k) and oracles.squarefree(k + 1))
+    assert expected == 263916
+    assert pair_count(alpha, N).count == expected
 
 
 def test_pair_count_requires_n_at_least_2(sqrt2):
