@@ -392,6 +392,7 @@ class AlgebraicAlpha:
         r -= 0.5
         np.abs(r, out=r)
         suspects = np.flatnonzero(r >= 0.5 - margin)
+        del r  # freed before the int64 floors are allocated
         floors = fl.astype(np.int64)
         for i in suspects.tolist():
             floors[i] = self.floor_times(int(ns[i]))

@@ -276,6 +276,9 @@ def _run_discrepancy(cfg: ExperimentConfig) -> None:
     if cfg.interval is not None:
         a, b = cfg.interval
         H = cfg.h if cfg.h is not None else 100
+        for k in _need_n(cfg):  # every K is checked before the first point is computed
+            expsum.check_point_count(k, cfg.segment_cap)
+            expsum.check_erdos_turan(k, H, (a, b), cfg.budget)
         for k in _need_n(cfg):
             pts = expsum.beatty_frac_points(alpha, k, m, cfg.segment_cap)
             rep = expsum.erdos_turan_bound(pts, H, (a, b), cfg.budget)
@@ -332,7 +335,7 @@ def _parse_modulus_factor(token: str) -> int:
 
 
 def _parse_interval(text: str) -> tuple:
-    """--interval a,b as two floats; erdos_turan_bound checks 0 <= a < b <= 1."""
+    """--interval a,b as two floats; expsum.check_erdos_turan checks 0 <= a < b <= 1."""
     try:
         a, b = map(float, text.split(","))
     except ValueError:

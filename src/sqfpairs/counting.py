@@ -13,11 +13,14 @@ into runs whose floor window [fl[a], fl[b-1] + 2), holding every
 m = [alpha*p] and m + 1 of the run, spans at most span cells, so one sieve
 call covers a run and a large alpha cuts one prime window into many runs.
 Each run is sieved into one buffer per count, and the values at m and m + 1
-are gathered into fresh arrays, so no view of the buffer outlives it.  The
-span is segment_cap for the squarefree flags of pair_count and single_count,
-and min(segment_cap, _RAD_BLOCK) for the int32 radicals of decompose (1 MiB,
-which stays in cache while the small squares strike it), so memory is
-bounded by the segment cap, and decompose's by _RAD_BLOCK, for every alpha.
+are gathered into fresh arrays, so no view of the buffer outlives it.  One
+rule sets the span of every count: a run's buffer holds at most _RUN_BYTES
+(1 MiB, which stays in cache while the small squares strike it), so the span
+is min(segment_cap, _RUN_BYTES // itemsize) cells of the buffer's dtype:
+2**20 squarefree flags for pair_count and single_count, 2**18 int32
+radicals for decompose.  carlitz_count flags [1, N + 1] in windows of the
+same 2**20 cells, into one buffer of its own.  Memory beyond the prime
+window is therefore bounded by 1 MiB a buffer for every alpha and cap.
 
 The one buffer rule: the buffer grows to min(span, floor span of the widest
 prime window met), which holds every run of that window.  Sizing by the
@@ -27,11 +30,15 @@ that much left it resident after the count (peak RSS rose 2.5 MiB on a pair
 count at alpha near 31, N = 3e7).  A grown buffer is allocated only after
 every reference to the old one is dropped: allocated while the old one
 lives, glibc's malloc can place it above the old one on the heap, and the
-freed old buffer then stays resident (peak RSS rose 4 MiB there).  A
-window's floors and gathered arrays are dropped before the stream makes the
-next window: held across it, they add to that window's sieve and floors at
-the peak, and the peak RSS of the benchmark's pairs-sweep, pairs-wide and
-decompose runs was 0.6 to 0.85 MiB higher on a 2-core x86-64 VM.
+freed old buffer then stays resident (peak RSS rose 4 MiB there).
+
+Window lifetimes: a prime window's primes, floors and gathered arrays are
+all dropped before the stream sieves the next window, by the stream's
+generator and by _floor_runs alike.  Held across it, they add to that
+window's sieve and floors at the peak: on a 2-core x86-64 VM the peak RSS
+of the benchmark's pairs-sweep, pairs-wide and decompose runs was 0.6 to
+0.85 MiB higher with the gathered arrays held, and that of pairs-sweep and
+decompose a further 0.55 to 0.8 MiB with the primes held.
 
 sieves.square_radicals fills a decompose run by tiling a wheel of the
 radicals of 4, 9, 25 and 49, then scatters the larger squares.  The primes
@@ -69,8 +76,8 @@ SIGMA_PRODUCT_LIMIT = 10 ** 6
 #: Widest prime window: min(segment_cap, this) values for every alpha.
 _PRIME_WINDOW = 1 << 20
 
-#: Widest radical window in decompose, in cells (module docstring).
-_RAD_BLOCK = 1 << 18
+#: Largest buffer of a run, in bytes: the span rule of every count (module docstring).
+_RUN_BYTES = 1 << 20
 
 #: Mask of S in a decompose class key R << 32 | S.
 _LOW32 = (1 << 32) - 1
@@ -141,8 +148,15 @@ def _prime_floors(alpha: AlgebraicAlpha, N: int, segment_cap: int):
     _check_n(alpha, N)
     if segment_cap < 2:
         raise ConfigError("segment cap must be at least 2")
-    return ((ps, alpha.floors_bulk(ps))
-            for ps in iter_prime_segments(2, N + 1, min(segment_cap, _PRIME_WINDOW)) if ps.size)
+    return _floor_stream(alpha, iter_prime_segments(2, N + 1, min(segment_cap, _PRIME_WINDOW)))
+
+
+def _floor_stream(alpha: AlgebraicAlpha, segments):
+    """(primes, floors) of each non-empty prime window, released here before the next is sieved."""
+    for ps in segments:
+        if ps.size:
+            yield ps, alpha.floors_bulk(ps)
+        ps = None  # dropped before the next window is sieved (module docstring)
 
 
 def _floor_windows(fl: np.ndarray, span: int):
@@ -166,25 +180,29 @@ def carlitz_count(N: int, segment_cap: int = DEFAULT_SEGMENT_CAP) -> int:
         raise RangeCapError(f"N + 2 = {N + 2} exceeds global maximum {GLOBAL_MAX}")
     if segment_cap < 2:
         raise ConfigError("segment cap must be at least 2")
+    span = min(segment_cap, _RUN_BYTES, N + 1)  # bool flags, one byte a cell
+    buf = np.empty(span, dtype=bool)
     count = 0
     cur = 1
     while cur <= N:
-        top = min(cur + segment_cap - 1, N + 1)
-        flags = squarefree_flags(cur, top + 1, segment_cap)
+        top = min(cur + span - 1, N + 1)
+        flags = squarefree_flags(cur, top + 1, segment_cap, out=buf)
         count += int(np.count_nonzero(flags[:-1] & flags[1:]))
         cur = top
     return count
 
 
-def _floor_runs(stream, span, sieve, dtype):
+def _floor_runs(stream, segment_cap, sieve, dtype):
     """Per run of the floors of stream: (n, values at m, values at m + 1), fresh arrays.
 
     stream is _prime_floors' (primes, floors) windows; n counts the primes
     the item covers.  The zero floors of a window (alpha < 1/2 only) make one
     item of empty values: 0 is not squarefree and has no radical.  The
-    other floors are cut by _floor_windows at span, and sieve(lo, hi,
-    out=buf) fills each run's values into the one buffer (module docstring).
+    other floors are cut by _floor_windows at the span
+    min(segment_cap, _RUN_BYTES // itemsize), and sieve(lo, hi, out=buf)
+    fills each run's values into the one buffer (module docstring).
     """
+    span = min(segment_cap, _RUN_BYTES // np.dtype(dtype).itemsize)
     buf = np.empty(0, dtype=dtype)
     for ps, fls in stream:
         zeros = int(np.searchsorted(fls, 1))  # floors ascend: the zeros are a prefix
@@ -204,7 +222,7 @@ def _floor_runs(stream, span, sieve, dtype):
             at_m = np.take(buf, idx, mode="clip")
             idx += 1
             yield fl.size, at_m, np.take(buf, idx, mode="clip")
-        fls = fl = idx = at_m = None  # dropped before the next window (module docstring)
+        ps = fls = fl = idx = at_m = None  # dropped before the next window (module docstring)
 
 
 def _count_over_primes(alpha: AlgebraicAlpha, N: int, segment_cap: int):
@@ -340,7 +358,7 @@ def decompose(alpha: AlgebraicAlpha, N: int, z: float,
 
     Those sums depend on m only through its class (R, S): R is the product of
     the primes whose square divides m, S the same for m+1.  _floor_runs
-    cuts the floors into runs of at most min(segment_cap, _RAD_BLOCK) cells,
+    cuts the floors into runs of at most min(segment_cap, 2**18) cells,
     m + 1 of the last floor inside, and gathers R at m and m + 1 from the
     run's radicals, which sieves.square_radicals sieves into the count's one
     int32 buffer: the run is tiled from a wheel of the radicals of 4, 9, 25
@@ -367,8 +385,7 @@ def decompose(alpha: AlgebraicAlpha, N: int, z: float,
     pending = []  # run tallies not yet merged into tally
     pending_size = 0
     # R^2 divides m <= GLOBAL_MAX = 2**52, so R <= 2**26 fits int32
-    for _, rad_m, rad_m1 in _floor_runs(stream, min(segment_cap, _RAD_BLOCK),
-                                        square_radicals, np.int32):
+    for _, rad_m, rad_m1 in _floor_runs(stream, segment_cap, square_radicals, np.int32):
         keys = rad_m.astype(np.int64)
         keys <<= 32
         keys |= rad_m1

@@ -340,6 +340,24 @@ def star_discrepancy(points) -> float:
     return float(max((i / K - pts).max(), (pts - (i - 1.0) / K).max()))
 
 
+def check_erdos_turan(K: int, H: int, interval, budget: int) -> None:
+    """The checks of erdos_turan_bound on K points, before any point exists.
+
+    0 <= a < b <= 1 (ConfigError), H >= 1 (InvalidRangeError) and at most
+    budget terms H*K (BudgetExceededError).
+    """
+    a, b = interval
+    if not (0.0 <= a < b <= 1.0):
+        raise ConfigError(f"need 0 <= a < b <= 1, got ({a}, {b})")
+    if H < 1:
+        raise InvalidRangeError(f"need H >= 1, got H={H}")
+    if H * K > budget:
+        raise BudgetExceededError(
+            f"H*K = {H * K} term evaluations exceed budget {budget}; "
+            "lower H or raise the budget"
+        )
+
+
 def erdos_turan_bound(points, H: int, interval,
                       budget: int = DEFAULT_BUDGET) -> BoundReport:
     """Interval-count deviation vs the truncated weighted exponential sums.
@@ -351,17 +369,9 @@ def erdos_turan_bound(points, H: int, interval,
     budget raises BudgetExceededError before any term is evaluated.
     """
     pts = _check_points(points)
-    a, b = interval
-    if not (0.0 <= a < b <= 1.0):
-        raise ConfigError(f"need 0 <= a < b <= 1, got ({a}, {b})")
-    if H < 1:
-        raise InvalidRangeError(f"need H >= 1, got H={H}")
     K = pts.size
-    if H * K > budget:
-        raise BudgetExceededError(
-            f"H*K = {H * K} term evaluations exceed budget {budget}; "
-            "lower H or raise the budget"
-        )
+    check_erdos_turan(K, H, interval, budget)
+    a, b = interval
     count = int(np.count_nonzero((pts >= a) & (pts < b)))
     lhs = abs(count - K * (b - a))
     leading = K / H
@@ -380,9 +390,14 @@ def beatty_frac_points(alpha: AlgebraicAlpha, K: int, m: int = 1,
     All K points are held at once (an int64 and a float64 per point), so K
     above segment_cap raises RangeCapError before anything is allocated.
     """
+    check_point_count(K, segment_cap)
+    return alpha.frac_parts(1, range(1, K + 1), m)
+
+
+def check_point_count(K: int, segment_cap: int) -> None:
+    """The checks of beatty_frac_points on K: 1 <= K <= segment_cap."""
     if K < 1:
         raise InvalidRangeError(f"need K >= 1, got K={K}")
     if K > segment_cap:
         raise RangeCapError(f"K={K} exceeds the segment cap {segment_cap}; "
                             "the points are held in memory at once")
-    return alpha.frac_parts(1, range(1, K + 1), m)

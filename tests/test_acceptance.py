@@ -207,8 +207,12 @@ BATTERY = [
     ("sigma.json", ["sigma", "--P", "1e6", "--format", "json"]),
     ("sigma.csv", ["sigma", "--P", "1e4"]),
     ("carlitz.csv", ["carlitz", "--n", "1e3,1e4"]),
+    # three windows of 2**20 flags
+    ("carlitz_runs.csv", ["carlitz", "--n", "3e6"]),
     ("pairs.csv", ["pairs", "--alpha", "sqrt:2", "--n", "1e3,1e4"]),
     ("pairs_poly.csv", ["pairs", "--alpha", "poly:-30000,0,0,1@31/1,32/1", "--n", "1e4,1e5"]),
+    # about 90 flag runs of 2**20 cells across three prime windows
+    ("pairs_wide.csv", ["pairs", "--alpha", "poly:-30000,0,0,1@31/1,32/1", "--n", "3e6"]),
     ("single.csv", ["single", "--alpha", "quad:1,1,2,5", "--n", "1e3,1e4"]),
     ("decompose.csv", ["decompose", "--alpha", "sqrt:2", "--n", "1e3,1e4",
                        "--z", "pow:0.3"]),

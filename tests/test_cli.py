@@ -26,7 +26,7 @@ from sqfpairs.cli import (
     read_table,
 )
 from sqfpairs.errors import ConfigError, RangeCapError
-from sqfpairs.sieves import DEFAULT_SEGMENT_CAP, GLOBAL_MAX
+from sqfpairs.sieves import GLOBAL_MAX
 
 
 def run_cli(*argv):
@@ -86,10 +86,11 @@ def test_carlitz_beyond_global_max_exits_3_before_sieving(tmp_path, capsys, monk
     with pytest.raises(RangeCapError):
         counting.carlitz_count(GLOBAL_MAX - 1)
     assert calls == []
-    # the last window of N = GLOBAL_MAX - 2 ends at N + 2 = GLOBAL_MAX: let through
+    # the last window of N = GLOBAL_MAX - 2 ends at N + 2 = GLOBAL_MAX: let
+    # through, and sieved from 1 in windows of 2**20 flags (1 MiB)
     with pytest.raises(_Sieved):
         counting.carlitz_count(GLOBAL_MAX - 2)
-    assert calls == [(1, DEFAULT_SEGMENT_CAP + 1)]
+    assert calls == [(1, counting._RUN_BYTES + 1)]
 
 
 def test_fit_refuses_every_n_before_any_count(tmp_path, capsys, monkeypatch):
@@ -208,6 +209,26 @@ def test_erdos_turan_work_beyond_budget_exits_3(tmp_path):
     start = time.perf_counter()
     assert run_cli(*base, "--h", "100000000000", "--out", out) == 3
     assert time.perf_counter() - start < 1.0
+
+
+def test_erdos_turan_refusals_come_before_any_point(tmp_path, capsys, monkeypatch):
+    # a reversed or out-of-range interval, H < 1, and a K of --n whose H*K
+    # terms exceed the budget are each refused before a phase is computed,
+    # even where an earlier K of the list is admissible
+    def no_phases(*args, **kwargs):
+        raise AssertionError("frac_parts called")
+
+    monkeypatch.setattr(AlgebraicAlpha, "frac_parts", no_phases)
+    base = ("discrepancy", "--alpha", "sqrt:2", "--out", str(tmp_path / "x.csv"))
+    for extra, code in (
+        (("--n", "4e6", "--interval", "0.5,0.2"), 2),
+        (("--n", "1e3", "--interval", "0.2,1.5"), 2),
+        (("--n", "1e3,1e4", "--interval", "0,0.5", "--h", "0"), 2),
+        (("--n", "1e3,1e5", "--interval", "0,0.5"), 3),  # H*K = 1e7 at K = 1e5
+        (("--n", "1e3,1e4", "--interval", "0,0.5", "--segment-cap", "5000"), 3),
+    ):
+        assert run_cli(*base, *extra) == code, extra
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_count_options_take_decimal_shorthand(tmp_path):
@@ -349,10 +370,12 @@ def test_huge_poly_constant_term_exits_3_promptly(tmp_path, capsys):
 
 
 def test_out_of_memory_exits_3_naming_segment_cap():
-    # a child process with a 1 GiB address-space limit asks for a flag
-    # window of about 4e9 cells: at alpha = sqrt(123456789) ~ 11111 the
-    # floors of one 2**20-value prime window span about 1.2e10 cells, so
-    # the cap alone sets the window; the limit is set in the child only
+    # a child process with a 1 GiB address-space limit asks for a prime
+    # window of 4e9 values, whose odd cells alone take 2e9 bytes: the
+    # exponential sum streams its primes in windows of --segment-cap values
+    # (a pair count no longer can be made to ask for that much, since its
+    # flag runs hold 1 MiB whatever the cap); the limit is set in the
+    # child only
     resource = pytest.importorskip("resource")
 
     def limit_memory():
@@ -362,7 +385,8 @@ def test_out_of_memory_exits_3_naming_segment_cap():
                OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from sqfpairs.cli import main; sys.exit(main())",
-         "pairs", "--alpha", "sqrt:123456789", "--n", "1e6", "--segment-cap", "4e9"],
+         "expsum", "--alpha", "sqrt:2", "--n", "4e9", "--h", "1", "--segment-cap", "4e9",
+         "--budget", "1e12"],
         env=env, preexec_fn=limit_memory, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 3, proc.stderr[-2000:]
     assert "Traceback" not in proc.stderr

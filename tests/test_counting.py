@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 import tracemalloc
@@ -44,6 +45,27 @@ def test_carlitz_segmentation_boundaries():
     assert carlitz_count(500, segment_cap=2) == whole
     with pytest.raises(ConfigError):
         carlitz_count(500, segment_cap=1)
+
+
+def test_carlitz_memory_is_one_flag_run():
+    # 3e6 values in three windows of 2**20 flags at the default cap (4 MiB).
+    # carlitz_count holds its one 1 MiB flag buffer and, while a window's
+    # pairs are counted, the flags[:-1] & flags[1:] temporary of as many
+    # bytes; squarefree_flags' hit lists over the 269 base primes below
+    # sqrt(3e6 + 2) and their squares' hits take a few KB, and 64 KiB is
+    # allowed for them.  Sized to the cap as before, the window and its
+    # temporary took 6.0 MB here.
+    N = 3 * 10 ** 6
+    base_primes(math.isqrt(N + 2) + 1)
+    carlitz_count(10 ** 4)
+    tracemalloc.start()
+    try:
+        count = carlitz_count(N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * counting._RUN_BYTES + 2 ** 16, peak
+    assert count == carlitz_count(N, segment_cap=999_983)  # other window edges
 
 
 def test_pair_count_small(sqrt2):
@@ -274,6 +296,47 @@ def test_pair_count_memory_is_bounded_by_segment_cap():
     assert peak < 16 * cap, peak
 
 
+def test_pair_count_flag_runs_hold_one_mebibyte():
+    # alpha ~ 31.07: the 2**20-value prime windows below 3e6 (three of them)
+    # have floors spanning about 3.3e7 cells each, which the default cap of
+    # 2**22 would flag in 4 MiB runs.  Beyond the peak of the prime and
+    # floor stream itself (consumed without holding a window), the count
+    # holds one window's primes and floors, which the stream's peak already
+    # covers, plus:
+    # - the flag buffer, _RUN_BYTES (1 MiB of 2**20 flags);
+    # - 16 bytes for each prime of a run: the int64 index into the buffer
+    #   and the two bool arrays gathered at m and m + 1 (10 bytes), with
+    #   room to spare; a run's floors lie in 2**20 - 1 cells, so it holds at
+    #   most k_max primes, counted below over every such span of the stream;
+    # - squarefree_flags' hit lists: a few int64 arrays over the 1,192 base
+    #   primes below sqrt(alpha*N) and the at most 4,368 hits of their
+    #   squares in a run, under 128 KiB.
+    # Cut at the cap, the runs took 4.6 MB beyond the stream's peak here.
+    alpha = parse_alpha("poly:-30000,0,0,1@31/1,32/1")
+    N = 3 * 10 ** 6
+    base_primes(math.isqrt(32 * N) + 1)
+    sigma_midpoint()
+    pair_count(alpha, 10 ** 4)
+    k_max = 0
+    for _, fl in counting._prime_floors(alpha, N, DEFAULT_SEGMENT_CAP):
+        span = np.searchsorted(fl, fl + counting._RUN_BYTES - 1) - np.arange(fl.size)
+        k_max = max(k_max, int(span.max()))
+    peaks = []
+    for run in (lambda: collections.deque(counting._prime_floors(alpha, N, DEFAULT_SEGMENT_CAP),
+                                          maxlen=0),
+                lambda: pair_count(alpha, N)):
+        tracemalloc.start()
+        try:
+            rep = run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    stream, peak = peaks
+    assert peak <= stream + counting._RUN_BYTES + 16 * k_max + 2 ** 17, (peak, stream, k_max)
+    assert rep.prime_count == prime_count(N)
+    assert rep == pair_count(alpha, N, segment_cap=10 ** 5)  # other run edges
+
+
 def _spy(monkeypatch, module, name):
     calls = []
     fn = getattr(module, name)
@@ -302,9 +365,11 @@ def test_prime_windows_are_cut_into_the_floor_windows(monkeypatch, spec, a, b, c
     pair_count(alpha, N, cap)
 
     # the floor windows: the oracle floors of each prime window
-    # [2 + i*W, 2 + (i + 1)*W), W = min(cap, 2**20), cut greedily: a run
-    # takes every floor below its first floor + cap - 1
+    # [2 + i*W, 2 + (i + 1)*W), W = min(cap, 2**20), cut greedily at the
+    # span S = min(cap, 2**20), the cells of a 1 MiB flag buffer: a run
+    # takes every floor below its first floor + S - 1
     W = min(cap, 1 << 20)
+    S = min(cap, 1 << 20)
     scaled = oracles.quad_alpha_bits(a, b, c, D)
     windows = {}
     for p in oracles.primes_to(N):
@@ -313,15 +378,17 @@ def test_prime_windows_are_cut_into_the_floor_windows(monkeypatch, spec, a, b, c
     for _, fls in sorted(windows.items()):
         runs.append([fls[0]])
         for m in fls[1:]:
-            if m < runs[-1][0] + cap - 1:
+            if m < runs[-1][0] + S - 1:
                 runs[-1].append(m)
             else:
                 runs.append([m])
     assert flagged == [(run[0], run[-1] + 2) for run in runs]
 
-    # the prime windows tile [2, N] at width W, no window exceeds the cap,
-    # and a large alpha cuts each prime window into many floor windows
-    assert all(hi - lo <= cap for lo, hi in sieved + flagged)
+    # the prime windows tile [2, N] at width W, no window exceeds the cap
+    # or a flag run the span, and a large alpha cuts each prime window into
+    # many floor windows
+    assert all(hi - lo <= cap for lo, hi in sieved)
+    assert all(hi - lo <= S for lo, hi in flagged)
     assert [lo for lo, _ in sieved] == [2] + [hi for _, hi in sieved[:-1]]
     assert sieved[-1][1] == N + 1
     assert all(hi - lo == W for lo, hi in sieved[:-1])
@@ -436,15 +503,16 @@ def _spy_buffer_sizes(monkeypatch, name):
 ])
 def test_each_count_sieves_into_one_buffer(monkeypatch, spec, N):
     # each count sizes its one buffer on the first prime window, whose
-    # floors here span more than _RAD_BLOCK cells; sized to the widest run
-    # met instead, the radical buffer was regrown by a few cells once or twice
+    # floors here span more than 2**20 cells: the full 1 MiB of 2**20 flags
+    # or 2**18 int32 radicals; sized to the widest run met instead, the
+    # radical buffer was regrown by a few cells once or twice
     alpha = _alpha(spec)
     flag_sizes = _spy_buffer_sizes(monkeypatch, "squarefree_flags")
     radical_sizes = _spy_buffer_sizes(monkeypatch, "square_radicals")
     rep = pair_count(alpha, N)
     assert decompose(alpha, N, N ** 0.3).total == rep.count
-    assert len(flag_sizes) == 1, flag_sizes
-    assert radical_sizes == {counting._RAD_BLOCK}
+    assert flag_sizes == {counting._RUN_BYTES}, flag_sizes
+    assert radical_sizes == {counting._RUN_BYTES // 4}
 
 
 def test_pair_count_reads_every_prime_across_prime_windows(sqrt2):
@@ -482,11 +550,11 @@ def test_decompose_memory_is_set_by_the_radical_block(golden):
     # at the default cap a floor window holds about 1.7e6 cells, whose int32
     # radicals would take 6.8 MB.  Beyond the prime and floor stream itself,
     # decompose holds what one block needs:
-    # - the radical buffer, 4 * _RAD_BLOCK bytes (1 MiB);
+    # - the radical buffer, _RUN_BYTES (1 MiB), or 2**18 int32 cells;
     # - 28 bytes for each prime of the block: its int64 index and key, and
     #   while the key of m + 1 is gathered, the shifted int64 index and the
     #   int32 radicals read (np.unique's sorted copy and mask take less);
-    #   a block's floors lie in _RAD_BLOCK - 1 cells, so it holds at most
+    #   a block's floors lie in 2**18 - 1 cells, so it holds at most
     #   k_max primes, counted below over every such span of the stream;
     # - the class tally: 1,627 classes at this N, held as sorted int64 keys
     #   and counts; with the run tallies pending a merge (no more entries
@@ -498,9 +566,9 @@ def test_decompose_memory_is_set_by_the_radical_block(golden):
     decompose(golden, 10 ** 4, 5.0)
     k_max = 0
     for _, fl in counting._prime_floors(golden, N, DEFAULT_SEGMENT_CAP):
-        span = np.searchsorted(fl, fl + counting._RAD_BLOCK - 1) - np.arange(fl.size)
+        span = np.searchsorted(fl, fl + counting._RUN_BYTES // 4 - 1) - np.arange(fl.size)
         k_max = max(k_max, int(span.max()))
-    block = 4 * counting._RAD_BLOCK + 28 * k_max + 2048 * 128
+    block = counting._RUN_BYTES + 28 * k_max + 2048 * 128
     peaks = []
     for run in (lambda: [None for _ in counting._prime_floors(golden, N, DEFAULT_SEGMENT_CAP)],
                 lambda: decompose(golden, N, N ** 0.3)):
@@ -523,7 +591,7 @@ def test_decompose_tally_memory_follows_classes_not_runs(monkeypatch, golden):
     # classes and numpy's ufunc.at buffer (24 KiB): a bound that does not
     # grow with the run count (26 KB measured).  Keeping every run's tally
     # to the end would hold two arrays a run: 980 KB here.
-    monkeypatch.setattr(counting, "_RAD_BLOCK", 64)
+    monkeypatch.setattr(counting, "_RUN_BYTES", 4 * 64)  # 64 int32 radicals
     N = 10 ** 5
     base_primes(math.isqrt(2 * N) + 1)
     decompose(golden, 10 ** 4, 5.0)
@@ -575,7 +643,7 @@ def test_decompose_across_radical_blocks_matches_brute_force(spec_bits, N, block
         st.integers(1, max(1, int(z_top))).map(float),  # on a d*t value
         st.floats(1.0, z_top)), label="z")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counting, "_RAD_BLOCK", block)
+        mp.setattr(counting, "_RUN_BYTES", 4 * block)  # block int32 radicals
         rep = decompose(alpha, N, z, cap)
     assert (rep.sigma1, rep.sigma2) == oracles.brute_decompose(N, scaled, z)
     assert rep.total == rep.sigma1 + rep.sigma2

@@ -11,7 +11,7 @@ import oracles
 from sqfpairs import (SieveSegment, crt_residue, prime_count, primes_in, sieve_segment,
                       squarefree_flags)
 from sqfpairs import sieves
-from sqfpairs.counting import _RAD_BLOCK
+from sqfpairs.counting import _RUN_BYTES
 from sqfpairs.sieves import (_SQF_BLOCK, _WHEEL_PERIOD, base_primes, iter_prime_segments,
                              square_radicals)
 from sqfpairs.errors import (
@@ -20,6 +20,9 @@ from sqfpairs.errors import (
     NotCoprimeError,
     WindowTooLargeError,
 )
+
+#: Cells of decompose's widest radical run: its int32 buffer holds _RUN_BYTES.
+_RAD_BLOCK = _RUN_BYTES // 4
 
 
 def test_mu_window_examples():
