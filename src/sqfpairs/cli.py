@@ -5,6 +5,11 @@ only, so outputs are pipeline-safe.  Identical configurations produce
 byte-identical files: floats are printed at 15 significant digits, there are
 no timestamps, and every computation below is deterministic.
 
+Each command's runner returns its COLUMNS key and its rows, one tuple per
+row in that key's column order; run() then writes them with the one writer,
+emit_table.  `sigma`'s JSON is a single object, every other JSON output an
+array of objects.
+
 Exit codes: 0 success, 2 configuration error, 3 budget/cap violation
 (out of memory included), 4 output I/O failure.
 """
@@ -24,7 +29,8 @@ from .alpha import parse_alpha
 from .errors import CapError, ConfigError, RangeCapError
 from .sieves import DEFAULT_SEGMENT_CAP
 
-#: Fixed CSV column orders, one entry per command/mode (documented in README).
+#: Fixed column orders, one entry per command/mode (documented in README);
+#: the only copy of each.
 COLUMNS = {
     "sigma": ("lo", "hi", "width", "midpoint"),
     "carlitz": ("N", "count", "ratio", "sigma_mid", "abs_error"),
@@ -114,10 +120,6 @@ def apply_rule(rule: str, N: int) -> float:
 def _fmt_cell(v) -> str:
     if v is None:
         return "na"
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, int):
-        return str(v)
     if isinstance(v, float):
         return f"{v:.15g}"
     return str(v)
@@ -129,63 +131,27 @@ def _canon(v):
     return v
 
 
-def _write_text(path: str, content: str) -> None:
-    if path == "-":
-        sys.stdout.write(content)
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(content)
-
-
-def emit_table(rows, output_format: str, path: str, columns) -> None:
-    """Write homogeneous rows as CSV (comma, dot decimal, 15 significant
-    digits) or as a JSON array of objects with identical keys."""
+def emit_table(rows, output_format: str, path: str, columns, one_object: bool = False) -> None:
+    """Write rows, each a tuple in the order of columns, as CSV (comma, dot
+    decimal, 15 significant digits) or as a JSON array of objects with
+    identical keys; one_object writes the one row as a bare JSON object."""
     if output_format == "csv":
         lines = [",".join(columns)]
-        lines.extend(",".join(_fmt_cell(row[c]) for c in columns) for row in rows)
-        _write_text(path, "\n".join(lines) + "\n")
+        lines.extend(",".join(map(_fmt_cell, row)) for row in rows)
+        text = "\n".join(lines)
     elif output_format == "json":
-        payload = [{c: _canon(row[c]) for c in columns} for row in rows]
-        _write_text(path, json.dumps(payload, indent=2) + "\n")
+        payload = [dict(zip(columns, map(_canon, row), strict=True)) for row in rows]
+        text = json.dumps(payload[0] if one_object else payload, indent=2)
     else:
         raise ConfigError(f"unknown format {output_format!r}")
+    if path == "-":
+        sys.stdout.write(text + "\n")
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text + "\n")
 
 
-def emit_object(obj: dict, output_format: str, path: str, columns) -> None:
-    if output_format == "json":
-        payload = {c: _canon(obj[c]) for c in columns}
-        _write_text(path, json.dumps(payload, indent=2) + "\n")
-    else:
-        emit_table([obj], output_format, path, columns)
-
-
-def _parse_csv_value(text: str):
-    if text == "na":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def read_table(path: str) -> list:
-    """Parse a CSV emitted by emit_table back into row dicts."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln]
-    if not lines:
-        return []
-    columns = lines[0].split(",")
-    return [
-        dict(zip(columns, (_parse_csv_value(cell) for cell in ln.split(","))))
-        for ln in lines[1:]
-    ]
-
-
-# ---- command implementations ----
+# ---- command implementations: each returns its COLUMNS key and its rows ----
 
 def _need_alpha(cfg: ExperimentConfig):
     if not cfg.alpha_spec:
@@ -199,111 +165,79 @@ def _need_n(cfg: ExperimentConfig) -> tuple:
     return cfg.n_values
 
 
-def _run_sigma(cfg: ExperimentConfig) -> None:
+def _run_sigma(cfg: ExperimentConfig):
     enc = constants.sigma_enclosure(cfg.P)
-    emit_object(
-        {"lo": enc.lo, "hi": enc.hi, "width": enc.width(), "midpoint": enc.midpoint()},
-        cfg.output_format, cfg.output_path, COLUMNS["sigma"],
-    )
+    return "sigma", [(enc.lo, enc.hi, enc.width(), enc.midpoint())]
 
-def _run_carlitz(cfg: ExperimentConfig) -> None:
+
+def _run_carlitz(cfg: ExperimentConfig):
     smid = counting.sigma_midpoint()
-    rows = []
-    for n in _need_n(cfg):
-        count = counting.carlitz_count(n, cfg.segment_cap)
-        ratio = count / n
-        rows.append({"N": n, "count": count, "ratio": ratio, "sigma_mid": smid,
-                     "abs_error": abs(ratio - smid)})
-    emit_table(rows, cfg.output_format, cfg.output_path, COLUMNS["carlitz"])
+    counts = ((n, counting.carlitz_count(n, cfg.segment_cap)) for n in _need_n(cfg))
+    return "carlitz", [(n, c, c / n, smid, abs(c / n - smid)) for n, c in counts]
 
 
-def _report_row(rep: counting.PairCountReport) -> dict:
-    return {"N": rep.N, "count": rep.count, "pi_N": rep.prime_count,
-            "prediction": rep.prediction, "abs_error": rep.abs_error,
-            "rel_error": rep.rel_error}
+def _report_row(rep: counting.PairCountReport) -> tuple:
+    return (rep.N, rep.count, rep.prime_count, rep.prediction, rep.abs_error,
+            rep.rel_error)
 
 
-def _pair_rows(cfg: ExperimentConfig, fn) -> list:
+def _run_count(cfg: ExperimentConfig):
+    """pairs or single: one report row per N."""
     alpha = _need_alpha(cfg)
-    return [_report_row(fn(alpha, n, cfg.segment_cap)) for n in _need_n(cfg)]
+    count = counting.pair_count if cfg.command == "pairs" else counting.single_count
+    return cfg.command, [_report_row(count(alpha, n, cfg.segment_cap)) for n in _need_n(cfg)]
 
 
-def _run_pairs(cfg: ExperimentConfig) -> None:
-    emit_table(_pair_rows(cfg, counting.pair_count), cfg.output_format,
-               cfg.output_path, COLUMNS["pairs"])
-
-
-def _run_single(cfg: ExperimentConfig) -> None:
-    emit_table(_pair_rows(cfg, counting.single_count), cfg.output_format,
-               cfg.output_path, COLUMNS["single"])
-
-
-def _run_decompose(cfg: ExperimentConfig) -> None:
+def _run_decompose(cfg: ExperimentConfig):
     alpha = _need_alpha(cfg)
-    rows = []
-    for n in _need_n(cfg):
-        rep = counting.decompose(alpha, n, apply_rule(cfg.z_rule, n), cfg.segment_cap)
-        rows.append({"N": rep.N, "z": rep.z, "sigma1": rep.sigma1,
-                     "sigma2": rep.sigma2, "total": rep.total})
-    emit_table(rows, cfg.output_format, cfg.output_path, COLUMNS["decompose"])
+    reps = (counting.decompose(alpha, n, apply_rule(cfg.z_rule, n), cfg.segment_cap)
+            for n in _need_n(cfg))
+    return "decompose", [(r.N, r.z, r.sigma1, r.sigma2, r.total) for r in reps]
 
 
-def _run_expsum(cfg: ExperimentConfig) -> None:
+def _run_expsum(cfg: ExperimentConfig):
     alpha = _need_alpha(cfg)
-    rows = []
     if cfg.h is not None:
-        for n in _need_n(cfg):
-            s = expsum.exp_sum_primes(alpha, expsum.ExpSumQuery(cfg.h, cfg.d, cfg.t, n),
-                                      cfg.segment_cap)
-            rows.append({"N": n, "h": cfg.h, "d": cfg.d, "t": cfg.t,
-                         "real": s.real, "imag": s.imag, "modulus": abs(s)})
-        emit_table(rows, cfg.output_format, cfg.output_path, COLUMNS["expsum_single"])
-        return
+        sums = ((n, expsum.exp_sum_primes(alpha, expsum.ExpSumQuery(cfg.h, cfg.d, cfg.t, n),
+                                          cfg.segment_cap)) for n in _need_n(cfg))
+        return "expsum_single", [(n, cfg.h, cfg.d, cfg.t, s.real, s.imag, abs(s))
+                                 for n, s in sums]
+    rows = []
     for n in _need_n(cfg):
         q = expsum.DyadicQuery(H=apply_rule(cfg.h_rule, n), D=float(cfg.d), T=float(cfg.t), N=n)
         rep, = expsum.ratio_scan(alpha, [q], DYADIC_EPS, cfg.budget, cfg.segment_cap)
-        t1, t2, t3, t4 = rep.rhs_terms
-        rows.append({"N": n, "H": q.H, "D": q.D, "T": q.T, "lhs": rep.lhs,
-                     "term1": t1, "term2": t2, "term3": t3, "term4": t4,
-                     "rhs": rep.rhs, "ratio": rep.ratio, "eps": rep.eps_used})
-    emit_table(rows, cfg.output_format, cfg.output_path, COLUMNS["expsum_dyadic"])
+        rows.append((n, q.H, q.D, q.T, rep.lhs, *rep.rhs_terms, rep.rhs, rep.ratio,
+                     rep.eps_used))
+    return "expsum_dyadic", rows
 
 
-def _run_discrepancy(cfg: ExperimentConfig) -> None:
+def _run_discrepancy(cfg: ExperimentConfig):
     alpha = _need_alpha(cfg)
     m = (cfg.d * cfg.t) ** 2
-    rows = []
-    if cfg.interval is not None:
-        a, b = cfg.interval
-        H = cfg.h if cfg.h is not None else 100
-        for k in _need_n(cfg):  # every K is checked before the first point is computed
-            expsum.check_point_count(k, cfg.segment_cap)
-            expsum.check_erdos_turan(k, H, (a, b), cfg.budget)
-        for k in _need_n(cfg):
-            pts = expsum.beatty_frac_points(alpha, k, m, cfg.segment_cap)
-            rep = expsum.erdos_turan_bound(pts, H, (a, b), cfg.budget)
-            rows.append({"K": k, "m": m, "a": a, "b": b, "H": H,
-                         "lhs": rep.lhs, "rhs": rep.rhs, "ratio": rep.ratio})
-        emit_table(rows, cfg.output_format, cfg.output_path, COLUMNS["discrepancy_et"])
-        return
-    for k in _need_n(cfg):
-        pts = expsum.beatty_frac_points(alpha, k, m, cfg.segment_cap)
-        rows.append({"K": k, "m": m, "dstar": expsum.star_discrepancy(pts)})
-    emit_table(rows, cfg.output_format, cfg.output_path, COLUMNS["discrepancy"])
+    ks = _need_n(cfg)
+    points = (expsum.beatty_frac_points(alpha, k, m, cfg.segment_cap) for k in ks)
+    if cfg.interval is None:
+        return "discrepancy", [(k, m, expsum.star_discrepancy(pts)) for k, pts in zip(ks, points)]
+    a, b = cfg.interval
+    H = cfg.h if cfg.h is not None else 100
+    for k in ks:  # every K is checked before the first point is computed
+        expsum.check_point_count(k, cfg.segment_cap)
+        expsum.check_erdos_turan(k, H, (a, b), cfg.budget)
+    reps = (expsum.erdos_turan_bound(pts, H, (a, b), cfg.budget) for pts in points)
+    return "discrepancy_et", [(k, m, a, b, H, r.lhs, r.rhs, r.ratio) for k, r in zip(ks, reps)]
 
 
-def _run_fit(cfg: ExperimentConfig) -> None:
+def _run_fit(cfg: ExperimentConfig):
     alpha = _need_alpha(cfg)
     table = counting.error_table(alpha, _need_n(cfg), cfg.segment_cap)
-    rows = [dict(_report_row(r), theta_hat=table.fitted_exponent) for r in table.reports]
-    emit_table(rows, cfg.output_format, cfg.output_path, COLUMNS["fit"])
+    return "fit", [_report_row(r) + (table.fitted_exponent,) for r in table.reports]
 
 
 _RUNNERS = {
     "sigma": _run_sigma,
     "carlitz": _run_carlitz,
-    "pairs": _run_pairs,
-    "single": _run_single,
+    "pairs": _run_count,
+    "single": _run_count,
     "decompose": _run_decompose,
     "expsum": _run_expsum,
     "discrepancy": _run_discrepancy,
@@ -320,7 +254,9 @@ def run(cfg: ExperimentConfig) -> int:
     if cfg.segment_cap < 2 or cfg.budget < 1:
         raise ConfigError("segment cap and budget must be positive")
     start = time.perf_counter()
-    _RUNNERS[cfg.command](cfg)
+    key, rows = _RUNNERS[cfg.command](cfg)
+    emit_table(rows, cfg.output_format, cfg.output_path, COLUMNS[key],
+               one_object=(key == "sigma"))
     print(f"{cfg.command}: done in {time.perf_counter() - start:.2f}s",
           file=sys.stderr)
     return 0

@@ -391,7 +391,7 @@ def beatty_frac_points(alpha: AlgebraicAlpha, K: int, m: int = 1,
     above segment_cap raises RangeCapError before anything is allocated.
     """
     check_point_count(K, segment_cap)
-    return alpha.frac_parts(1, range(1, K + 1), m)
+    return alpha.frac_parts(1, np.arange(1, K + 1, dtype=np.int64), m)
 
 
 def check_point_count(K: int, segment_cap: int) -> None:

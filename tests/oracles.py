@@ -204,3 +204,29 @@ def basel_density():
     """6/pi^2 to well beyond double precision."""
     pi = machin_pi()
     return float(Fraction(6) / (pi * pi))
+
+
+def _parse_csv_value(text):
+    if text == "na":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def read_table(path):
+    """Parse a CSV written by sqfpairs.cli.emit_table back into row dicts."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln for ln in fh.read().split("\n") if ln]
+    if not lines:
+        return []
+    columns = lines[0].split(",")
+    return [
+        dict(zip(columns, (_parse_csv_value(cell) for cell in ln.split(","))))
+        for ln in lines[1:]
+    ]

@@ -225,6 +225,10 @@ BATTERY = [
                           "--d", "2", "--t", "3", "--interval", "0,0.027777778",
                           "--h", "100", "--format", "json"]),
     ("fit.csv", ["fit", "--alpha", "sqrt:2", "--n", "1e3,1e4,1e5"]),
+    # the JSON-array writer of a table command
+    ("fit.json", ["fit", "--alpha", "sqrt:2", "--n", "1e3,1e4,1e5", "--format", "json"]),
+    ("expsum_single.json", ["expsum", "--alpha", "sqrt:2", "--n", "1e4",
+                            "--h", "2", "--d", "2", "--t", "3", "--format", "json"]),
 ]
 
 

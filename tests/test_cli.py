@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import sqfpairs
+from oracles import read_table
 from sqfpairs import cli, counting
 from sqfpairs.alpha import AlgebraicAlpha
 from sqfpairs.cli import (
@@ -23,7 +25,6 @@ from sqfpairs.cli import (
     main,
     parse_count,
     parse_number_list,
-    read_table,
 )
 from sqfpairs.errors import ConfigError, RangeCapError
 from sqfpairs.sieves import GLOBAL_MAX
@@ -146,12 +147,62 @@ def test_every_command_emits_parseable_output(tmp_path):
           "--interval", "0,0.25", "--h", "50"), COLUMNS["discrepancy_et"]),
         (("fit", "--alpha", "sqrt:2", "--n", "100,1000,10000"), COLUMNS["fit"]),
     ]
+    # the JSON writer gives the same keys in the same order, integer columns
+    # as JSON integers, and each value equal to its CSV cell read back
+    integers = {"N", "count", "pi_N", "sigma1", "sigma2", "total", "K", "m"}
     for i, (argv, columns) in enumerate(cases):
         out = tmp_path / f"case{i}.csv"
         assert run_cli(*argv, "--out", str(out)) == 0, argv
         rows = read_table(str(out))
         assert rows, argv
         assert list(rows[0].keys()) == list(columns), argv
+        out = tmp_path / f"case{i}.json"
+        assert run_cli(*argv, "--format", "json", "--out", str(out)) == 0, argv
+        objects = json.loads(out.read_text())
+        assert len(objects) == len(rows), argv
+        whole = integers | ({"h", "d", "t"} if columns == COLUMNS["expsum_single"] else set())
+        for obj, row in zip(objects, rows):
+            assert list(obj) == list(columns), argv
+            assert all(type(obj[c]) is int for c in columns if c in whole), (argv, obj)
+            assert obj == row, argv
+
+
+def _readme_cli_tables():
+    """{header of the second column: [(backticked words of the first cell,
+    backticked words of the second)]} for each table of README's CLI section."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## CLI\n")[1].split("\n## ")[0]
+    tables, rows = {}, None
+    for line in section.splitlines():
+        if not line.startswith("|"):
+            rows = None
+            continue
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if rows is None:
+            rows = tables[cells[1]] = []
+        elif set(cells[0]) - set("- "):
+            rows.append(tuple(re.findall(r"`([^`]*)`", cell) for cell in cells[:2]))
+    return tables
+
+
+def test_readme_cli_tables_match_the_code():
+    tables = _readme_cli_tables()
+    listed = [name for names, _ in tables["options"] for name in names]
+    assert sorted(listed) == sorted(COMMANDS)
+    for names, options in tables["options"]:
+        for name in names:
+            assert tuple(option.split()[0] for option in options) == OPTIONS[name], name
+    keys = []
+    for (name,), cells in tables["columns"]:
+        for cell in cells:
+            if cell.startswith("--"):
+                continue
+            columns = tuple(cell.split(","))
+            match = [key for key, value in COLUMNS.items()
+                     if value == columns and key.split("_")[0] == name]
+            assert len(match) == 1, (name, cell)
+            keys += match
+    assert sorted(keys) == sorted(COLUMNS)
 
 
 def test_csv_round_trip_recovers_canonical_values(tmp_path):
@@ -159,7 +210,8 @@ def test_csv_round_trip_recovers_canonical_values(tmp_path):
     assert run_cli("fit", "--alpha", "sqrt:2", "--n", "100,1000,10000",
                    "--out", str(out)) == 0
     rows = read_table(str(out))
-    emit_table(rows, "csv", str(out) + ".again", COLUMNS["fit"])
+    emit_table([tuple(row.values()) for row in rows], "csv", str(out) + ".again",
+               COLUMNS["fit"])
     assert (tmp_path / "fit.csv").read_bytes() == (tmp_path / "fit.csv.again").read_bytes()
 
 
