@@ -356,7 +356,7 @@ def main(argv=None) -> int:
         return 3
     except MemoryError:
         print("cap/budget error: out of memory; a lower --segment-cap bounds the "
-              "memory of each sieve window", file=sys.stderr)
+              "prime windows of expsum and the points of discrepancy", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)

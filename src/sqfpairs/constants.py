@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -164,20 +165,20 @@ def zeta2_enclosure(terms: int = 10_000) -> Enclosure:
 def coprime_double_sum(L: int) -> float:
     """Sum of mu(d) mu(t) / (d t)^2 over 1 <= d, t <= L with gcd(d, t) = 1.
 
-    Terms are enumerated row-major ascending and accumulated exactly with
-    math.fsum, so the result is deterministic across platforms.
+    Each term is (mu(d)/d^2) * (mu(t)/t^2), two IEEE divisions and one
+    product.  The terms are formed one row d at a time in numpy and fed to
+    math.fsum as they come, so only one row is held.  fsum returns the sum
+    of its terms exactly rounded, a function of the multiset of terms
+    alone, so the order in which they arrive cannot change the result,
+    which is therefore deterministic across platforms.
     """
     if L < 1:
         raise InvalidRangeError(f"need L >= 1, got L={L}")
     mu = sieve_segment(1, L + 1, {"mu"}, segment_cap=max(DEFAULT_SEGMENT_CAP, L)).mu
-    nz = [i + 1 for i in range(L) if mu[i]]
-    weight = {t: mu[t - 1] / (t * t) for t in nz}
-    gcd = math.gcd
-    terms: list[float] = []
-    for d in nz:
-        wd = weight[d]
-        terms.extend(wd * weight[t] for t in nz if gcd(d, t) == 1)
-    return math.fsum(terms)
+    t = np.flatnonzero(mu) + 1
+    w = mu[t - 1] / (t * t)  # mu(t)/t^2 for every t with mu(t) != 0
+    rows = ((wd * w[np.gcd(d, t) == 1]).tolist() for d, wd in zip(t.tolist(), w.tolist()))
+    return math.fsum(chain.from_iterable(rows))
 
 
 def tail_tau_sum(z: int, Z: int) -> float:
@@ -185,13 +186,10 @@ def tail_tau_sum(z: int, Z: int) -> float:
     if not 1 <= z < Z:
         raise InvalidRangeError(f"need 1 <= z < Z, got z={z}, Z={Z}")
     pieces: list[float] = []
-    cur = z + 1
-    while cur <= Z:
+    for cur in range(z + 1, Z + 1, DEFAULT_SEGMENT_CAP):
         top = min(cur + DEFAULT_SEGMENT_CAP, Z + 1)
-        seg = sieve_segment(cur, top, {"tau"})
         n = np.arange(cur, top, dtype=np.float64)
-        pieces.extend((seg.tau / (n * n)).tolist())
-        cur = top
+        pieces.extend((sieve_segment(cur, top, {"tau"}).tau / (n * n)).tolist())
     return math.fsum(pieces)
 
 

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -183,12 +183,9 @@ def carlitz_count(N: int, segment_cap: int = DEFAULT_SEGMENT_CAP) -> int:
     span = min(segment_cap, _RUN_BYTES, N + 1)  # bool flags, one byte a cell
     buf = np.empty(span, dtype=bool)
     count = 0
-    cur = 1
-    while cur <= N:
-        top = min(cur + span - 1, N + 1)
-        flags = squarefree_flags(cur, top + 1, segment_cap, out=buf)
+    for cur in range(1, N + 1, span - 1):  # windows share their last cell
+        flags = squarefree_flags(cur, min(cur + span, N + 2), segment_cap, out=buf)
         count += int(np.count_nonzero(flags[:-1] & flags[1:]))
-        cur = top
     return count
 
 
@@ -228,10 +225,9 @@ def _floor_runs(stream, segment_cap, sieve, dtype):
 def _count_over_primes(alpha: AlgebraicAlpha, N: int, segment_cap: int):
     """(pair count, single count, prime count) of the primes p <= N, from one pass."""
     pairs = singles = pi_n = 0
-    # looked up as the count runs, so that a patched squarefree_flags is the one called
-    flags = partial(squarefree_flags, segment_cap=segment_cap)
+    # the name is read as the count runs, so that a patched squarefree_flags is the one called
     for n, at_m, at_m1 in _floor_runs(_prime_floors(alpha, N, segment_cap), segment_cap,
-                                      flags, bool):
+                                      squarefree_flags, bool):
         pi_n += n
         singles += int(np.count_nonzero(at_m))
         at_m &= at_m1

@@ -6,11 +6,11 @@ invented constant: reports record the lhs/rhs ratio and the test suite
 freezes first-run values as regressions.
 
 Primes are streamed once per call, segment by segment in ascending order,
-and never materialized up to N.  A dyadic block evaluates all of its
-(h, d, t) triples on each segment of that one stream; every triple keeps its
-own complex sum, added to segment by segment exactly as exp_sum_primes does
-(both go through _phase_sum), so the results are deterministic and equal to
-the per-query sums.
+and never materialized up to N.  _prime_sums is the one stream loop:
+exp_sum_primes runs it for one (h, m) and a dyadic block for all of its
+(h, d, t) triples at once.  Every (h, m) keeps its own complex sum, added to
+segment by segment through _phase_sum, so the results are deterministic and
+a block's sums equal the per-query sums bit for bit.
 
 _phase_sum evaluates phases and e(x) over chunks of _PHASE_CHUNK = 8192
 primes of a segment: _e_sum sums e(x) over a chunk with numpy's pairwise
@@ -37,14 +37,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .alpha import MAX_H, AlgebraicAlpha
 from .errors import BudgetExceededError, ConfigError, InvalidRangeError, RangeCapError
-from .sieves import DEFAULT_SEGMENT_CAP, iter_prime_segments
+from .sieves import DEFAULT_SEGMENT_CAP, GLOBAL_MAX, iter_prime_segments
 
 #: Per-call cap on the number of evaluated (h, d, t, p) tuples.
 DEFAULT_BUDGET = 10 ** 6
@@ -214,6 +214,28 @@ def _phase_sum(alpha: AlgebraicAlpha, h: int, ps: np.ndarray, m: int) -> complex
     return total
 
 
+def _prime_sums(alpha: AlgebraicAlpha, terms, N: int, budget, segment_cap: int) -> list:
+    """Sums of e(alpha*h*p/m) over the primes p <= N, one per (h, m) of terms, on one stream.
+
+    The work, len(terms) * pi(N), is counted along the stream, and
+    BudgetExceededError is raised as soon as it exceeds budget (math.inf
+    for no limit), before the phases of the segment that crossed it are
+    evaluated.
+    """
+    sums = [0j] * len(terms)
+    work = 0
+    for ps in iter_prime_segments(2, N + 1, segment_cap):
+        work += len(terms) * int(ps.size)
+        if work > budget:
+            raise BudgetExceededError(
+                f"{work} term evaluations so far exceed budget {budget}; "
+                "shrink the blocks"
+            )
+        for i, (h, m) in enumerate(terms):
+            sums[i] += _phase_sum(alpha, h, ps, m)
+    return sums
+
+
 def exp_sum_primes(alpha: AlgebraicAlpha, q: ExpSumQuery,
                    segment_cap: int = DEFAULT_SEGMENT_CAP) -> complex:
     """Sum of e(alpha*h*p/(d^2 t^2)) over primes p <= N.
@@ -234,11 +256,7 @@ def exp_sum_primes(alpha: AlgebraicAlpha, q: ExpSumQuery,
     1 + EXP_EPS, so this rounding is under 2**-52 * (32 + c) * pi(N) in
     modulus.
     """
-    m = _check_query(q)
-    total = 0j
-    for ps in iter_prime_segments(2, q.N + 1, segment_cap):
-        total += _phase_sum(alpha, q.h, ps, m)
-    return total
+    return _prime_sums(alpha, [(q.h, _check_query(q))], q.N, math.inf, segment_cap)[0]
 
 
 def _check_blocks(q: DyadicQuery) -> None:
@@ -257,11 +275,10 @@ def dyadic_block_sum(alpha: AlgebraicAlpha, q: DyadicQuery,
                      segment_cap: int = DEFAULT_SEGMENT_CAP) -> float:
     """Sum of |exp_sum_primes| over all integer (h, d, t) in the dyadic blocks.
 
-    One prime stream feeds every triple.  The work, (number of triples) *
-    pi(N), is counted along that stream, and BudgetExceededError is raised
-    as soon as it exceeds budget, before the phases of the segment that
-    crossed it are evaluated.  A block with more triples than budget is
-    refused before any triple is built or any prime sieved.
+    One prime stream, _prime_sums, feeds every triple and refuses a run
+    whose work, (number of triples) * pi(N), exceeds budget.  A block with
+    more triples than budget is refused before any triple is built or any
+    prime sieved.
     """
     _check_blocks(q)
     if q.N < 2:
@@ -276,18 +293,7 @@ def dyadic_block_sum(alpha: AlgebraicAlpha, q: DyadicQuery,
     hs, ds, ts = (range(lo + 1, hi + 1) for lo, hi in ends)
     triples = [(h, _check_query(ExpSumQuery(h, d, t, q.N)))
                for h in hs for d in ds for t in ts]
-    sums = [0j] * len(triples)
-    work = 0
-    for ps in iter_prime_segments(2, q.N + 1, segment_cap):
-        work += len(triples) * int(ps.size)
-        if work > budget:
-            raise BudgetExceededError(
-                f"{work} term evaluations so far exceed budget {budget}; "
-                "shrink the blocks"
-            )
-        for i, (h, m) in enumerate(triples):
-            sums[i] += _phase_sum(alpha, h, ps, m)
-    return math.fsum(abs(s) for s in sums)
+    return math.fsum(abs(s) for s in _prime_sums(alpha, triples, q.N, budget, segment_cap))
 
 
 def dyadic_bound_rhs(q: DyadicQuery, eps: float) -> BoundReport:
@@ -315,11 +321,9 @@ def ratio_scan(alpha: AlgebraicAlpha, grid: Sequence[DyadicQuery], eps: float,
     """One BoundReport per dyadic query; ratios are recorded, never asserted."""
     out = []
     for q in grid:
-        rhs_rep = dyadic_bound_rhs(q, eps)
+        rep = dyadic_bound_rhs(q, eps)
         lhs = dyadic_block_sum(alpha, q, budget, segment_cap)
-        out.append(BoundReport(lhs=lhs, rhs_terms=rhs_rep.rhs_terms,
-                               rhs=rhs_rep.rhs, ratio=lhs / rhs_rep.rhs,
-                               eps_used=eps))
+        out.append(replace(rep, lhs=lhs, ratio=lhs / rep.rhs))
     return out
 
 
@@ -388,16 +392,19 @@ def beatty_frac_points(alpha: AlgebraicAlpha, K: int, m: int = 1,
     """The sequence {alpha*k/m} for k = 1..K, as float64 phases.
 
     All K points are held at once (an int64 and a float64 per point), so K
-    above segment_cap raises RangeCapError before anything is allocated.
+    above segment_cap, or above GLOBAL_MAX, the largest n that frac_parts
+    takes, raises RangeCapError before anything is allocated.
     """
     check_point_count(K, segment_cap)
     return alpha.frac_parts(1, np.arange(1, K + 1, dtype=np.int64), m)
 
 
 def check_point_count(K: int, segment_cap: int) -> None:
-    """The checks of beatty_frac_points on K: 1 <= K <= segment_cap."""
+    """The checks of beatty_frac_points on K: 1 <= K <= min(segment_cap, GLOBAL_MAX)."""
     if K < 1:
         raise InvalidRangeError(f"need K >= 1, got K={K}")
     if K > segment_cap:
         raise RangeCapError(f"K={K} exceeds the segment cap {segment_cap}; "
                             "the points are held in memory at once")
+    if K > GLOBAL_MAX:
+        raise RangeCapError(f"K={K} exceeds global maximum {GLOBAL_MAX}")

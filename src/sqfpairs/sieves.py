@@ -24,17 +24,16 @@ pass.  No prime-only window builds the int64 array of its values, which only
 the mu and tau channels read.
 
 Squarefree flags start from a wheel: a fixed two-period pattern of the
-multiples of 4, 9, 25 and 49 (period 44100, 88 KB) is copied into each
-cache-sized block of the window and doubled in place, and the squares of
-11..59 are struck while the block is still in cache.  Every cell that a
-larger prime square divides then comes from one hit lister, _square_hits,
-and all of them are cleared with one scatter: the multiples of the squares
-up to the window width are listed in one np.repeat pass, and each larger
-square hits the window at most once.  No pattern the size of the segment
-cap is kept; a caller that flags many windows passes one buffer of its own
-as out=, so no window pays for a fresh array's page faults.  Every slice
-strike stores one shared read-only 0-d False array, so no slice store
-converts a Python bool first.
+multiples of 4, 9, 25 and 49 (period 44100, 88 KB) is copied into the
+window from its phase and doubled in place, and the squares of 11..59 are
+struck with one slice each.  Every cell that a larger prime square divides
+then comes from one hit lister, _square_hits, and all of them are cleared
+with one scatter: the multiples of the squares up to the window width are
+listed in one np.repeat pass, and each larger square hits the window at
+most once.  No pattern the size of the segment cap is kept; a caller that
+flags many windows passes one buffer of its own as out=, so no window pays
+for a fresh array's page faults.  Every slice strike stores one shared
+read-only 0-d False array, so no slice store converts a Python bool first.
 
 Square radicals R(m), the product of the primes p with p*p | m, start the
 same way in a caller's int32 buffer: a two-period uint8 wheel of the
@@ -105,12 +104,8 @@ for _p in _ODD_WHEEL_PRIMES:
 _ODD_WHEEL.flags.writeable = False
 del _p
 
-#: Cells per wheel-fill block: the block stays in L2 while the small squares strike it.
-_SQF_BLOCK = 1 << 19
-
-#: The primes 11..59, whose squares are struck block by block.
-_BLOCK_PRIMES = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
-_BLOCK_SQUARES = tuple(p * p for p in _BLOCK_PRIMES)
+#: The squares of 11..59, struck with one slice each; _square_hits lists the larger ones.
+_SLICE_SQUARES = tuple(p * p for p in (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59))
 
 
 def base_primes(limit: int) -> np.ndarray:
@@ -236,17 +231,11 @@ def sieve_segment(
     if "tau" in wanted:
         tau = np.ones(n, dtype=np.int64)
         rem = values.copy()
-        if lo == 0:
-            rem[0] = 1  # value 0: excluded from division, tau forced below
         for p in bps.tolist():
-            start = _first_multiple(lo, p)
+            start = _first_multiple(max(lo, 1), p)  # value 0 is never divided; tau forced below
             if start >= hi:
                 continue
             idx = np.arange(start - lo, n, p)
-            if lo == 0 and idx.size and idx[0] == 0:
-                idx = idx[1:]
-                if not idx.size:
-                    continue
             r = rem[idx] // p
             e = np.ones(idx.size, dtype=np.int64)
             while True:
@@ -361,18 +350,18 @@ def squarefree_flags(lo: int, hi: int, segment_cap: int = DEFAULT_SEGMENT_CAP,
     the cells past hi - lo are left alone.  Otherwise a fresh array is
     returned.
 
-    Two passes over one bool array:
+    One pass over one bool array:
 
-    1. Wheel fill, block by block (_SQF_BLOCK cells): copy one period of
-       the wheel from the phase (lo + b) mod 44100, double it in place by
-       slice copies (the copied length stays a multiple of the period), then
-       strike the squares of 11..59 while the block is in cache.
-    2. _square_hits lists every cell that the square of a prime p > 59
+    1. Wheel fill: copy one period of the wheel from the phase lo mod 44100
+       and double it in place by slice copies (the copied length stays a
+       multiple of the period).
+    2. Strike the squares of 11..59, one slice each.
+    3. _square_hits lists every cell that the square of a prime p > 59
        divides, and one scatter clears them all.
 
-    The flags stay exact: both passes only clear cells whose value a prime
+    The flags stay exact: every step only clears cells whose value a prime
     square divides (the wheel clears the multiples of 4, 9, 25, 49, and
-    value 0 with them), and together they clear the multiples of p*p for
+    value 0 with them), and together the steps clear the multiples of p*p for
     every prime p <= sqrt(hi - 1).  A value with no such divisor
     is squarefree, since any square factor p*p of a value below hi has
     p <= sqrt(hi - 1).
@@ -386,14 +375,10 @@ def squarefree_flags(lo: int, hi: int, segment_cap: int = DEFAULT_SEGMENT_CAP,
         raise ConfigError(f"out must be a contiguous 1-d bool array of at least {n} cells")
     else:
         flags = out[:n]
-    for b in range(0, n, _SQF_BLOCK):
-        e = min(b + _SQF_BLOCK, n)
-        _tile(flags[b:e], _WHEEL, (lo + b) % _WHEEL_PERIOD, _WHEEL_PERIOD)
-        for q in _BLOCK_SQUARES:
-            start = b + (-(lo + b)) % q
-            if start < e:
-                flags[start:e:q] = _FALSE
-    flags[_square_hits(lo, n, _BLOCK_PRIMES[-1])[0]] = False
+    _tile(flags, _WHEEL, lo % _WHEEL_PERIOD, _WHEEL_PERIOD)
+    for q in _SLICE_SQUARES:
+        flags[(-lo) % q::q] = _FALSE
+    flags[_square_hits(lo, n, 59)[0]] = False
     return flags
 
 
@@ -444,11 +429,11 @@ def iter_prime_segments(
     cells.  Nothing of a window outlives its yield but the yielded array.
     """
     _check_window(lo, hi, GLOBAL_MAX)  # the range checks: hi - lo <= hi <= GLOBAL_MAX
-    cur = lo
-    while cur < hi:
+    if segment_cap < 1:
+        raise ConfigError(f"segment cap must be at least 1, got {segment_cap}")
+    for cur in range(lo, hi, segment_cap):
         top = min(cur + segment_cap, hi)
         yield _odd_cell_primes(cur, top, sieve_segment(cur, top, {"prime"}, segment_cap)._odd)
-        cur = top
 
 
 def primes_in(lo: int, hi: int, segment_cap: int = DEFAULT_SEGMENT_CAP) -> np.ndarray:
@@ -465,10 +450,7 @@ def prime_count(N: int, segment_cap: int = DEFAULT_SEGMENT_CAP) -> int:
         raise InvalidRangeError(f"need N >= 0, got {N}")
     if N < 2:
         return 0
-    total = 0
-    for seg in iter_prime_segments(2, N + 1, segment_cap):
-        total += int(seg.size)
-    return total
+    return sum(int(seg.size) for seg in iter_prime_segments(2, N + 1, segment_cap))
 
 
 def crt_residue(d: int, t: int) -> int:

@@ -49,6 +49,18 @@ def tau(n):
     return t
 
 
+def coprime_double_sum(L):
+    """Sum of mu(d) mu(t) / (d t)^2 over coprime 1 <= d, t <= L, by a plain double loop.
+
+    Each term is (mu(d)/d^2) * (mu(t)/t^2) in Python floats, mu by trial
+    division; the terms go to math.fsum in row-major order.
+    """
+    mus = [mu(n) for n in range(L + 1)]
+    return math.fsum((mus[d] / d ** 2) * (mus[t] / t ** 2)
+                     for d in range(1, L + 1) if mus[d]
+                     for t in range(1, L + 1) if mus[t] and math.gcd(d, t) == 1)
+
+
 def square_radical(n):
     """R(n) for n >= 1: the product of the primes p with p*p | n, by trial division."""
     return math.prod(p for p, e in factorize(n) if e >= 2)

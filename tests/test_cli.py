@@ -7,6 +7,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sqfpairs
@@ -92,6 +93,25 @@ def test_carlitz_beyond_global_max_exits_3_before_sieving(tmp_path, capsys, monk
     with pytest.raises(_Sieved):
         counting.carlitz_count(GLOBAL_MAX - 2)
     assert calls == [(1, counting._RUN_BYTES + 1)]
+
+
+def test_discrepancy_k_beyond_global_max_exits_3_before_any_point(tmp_path, capsys, monkeypatch):
+    # a --segment-cap that admits K = 1e19 (past int64) or K = 5e15 (past
+    # 2**52, the largest n whose phase frac_parts takes) must not let the
+    # points be built
+    base = ("discrepancy", "--alpha", "sqrt:2", "--segment-cap", "1e25",
+            "--out", str(tmp_path / "x.csv"))
+    assert run_cli(*base, "--n", "1e19") == 3
+    assert "cap/budget error" in capsys.readouterr().err
+
+    def no_points(*args, **kwargs):
+        raise AssertionError("np.arange called")
+
+    monkeypatch.setattr(np, "arange", no_points)
+    for extra in ((), ("--interval", "0,0.5")):
+        assert run_cli(*base, "--n", "5e15", *extra) == 3, extra
+        err = capsys.readouterr().err
+        assert "global maximum" in err and "Traceback" not in err, extra
 
 
 def test_fit_refuses_every_n_before_any_count(tmp_path, capsys, monkeypatch):

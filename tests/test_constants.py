@@ -131,6 +131,23 @@ def test_coprime_double_sum_tiny_cases():
     assert coprime_double_sum(2) == 0.5
 
 
+def test_coprime_double_sum_equals_plain_double_loop_bit_for_bit():
+    for L in (*range(1, 41), 2000):
+        assert coprime_double_sum(L).hex() == oracles.coprime_double_sum(L).hex(), L
+
+
+def test_coprime_double_sum_holds_one_row_of_terms():
+    # fed to fsum row by row: the ~900k terms at L = 2000 are never held at once
+    coprime_double_sum(2000)  # grow the shared base-prime cache outside the trace
+    tracemalloc.start()
+    try:
+        coprime_double_sum(2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 def test_coprime_double_sum_bridges_to_sigma():
     # |sum(L) - sigma| <= tail tau mass over (L, 100L] plus the analytic
     # remainder for n > 100L (tau(n) < 2 sqrt(n) gives Sum < 4/sqrt(100L))

@@ -12,8 +12,7 @@ from sqfpairs import (SieveSegment, crt_residue, prime_count, primes_in, sieve_s
                       squarefree_flags)
 from sqfpairs import sieves
 from sqfpairs.counting import _RUN_BYTES
-from sqfpairs.sieves import (_SQF_BLOCK, _WHEEL_PERIOD, base_primes, iter_prime_segments,
-                             square_radicals)
+from sqfpairs.sieves import _WHEEL_PERIOD, base_primes, iter_prime_segments, square_radicals
 from sqfpairs.errors import (
     ConfigError,
     InvalidRangeError,
@@ -46,6 +45,18 @@ def test_zero_convention_cell():
     assert seg.tau.tolist() == [0, 1, 2]
     assert not squarefree_flags(0, 2)[0]
     assert squarefree_flags(0, 2)[1]
+
+
+def test_mu_and_tau_channels_match_oracles_on_windows_from_0_to_3():
+    # every window [lo, lo + w), lo = 0..3, w = 1..200; lo = 0 holds the
+    # value-0 convention cell, which no prime divides in the tau channel
+    mu = [oracles.mu(n) for n in range(204)]
+    tau = [oracles.tau(n) for n in range(204)]
+    for lo in range(4):
+        for w in range(1, 201):
+            seg = sieve_segment(lo, lo + w, {"mu", "tau"})
+            assert seg.mu.tolist() == mu[lo:lo + w], (lo, w)
+            assert seg.tau.tolist() == tau[lo:lo + w], (lo, w)
 
 
 def test_prime_count_examples():
@@ -157,6 +168,14 @@ def test_window_errors():
         sieve_segment(0, 10, set())
     with pytest.raises(ConfigError):
         sieve_segment(0, 10, {"mu", "bogus"})
+
+
+def test_prime_stream_rejects_a_cap_below_one():
+    for cap in (0, -5):
+        with pytest.raises(ConfigError):
+            next(iter_prime_segments(2, 100, cap))
+        with pytest.raises(ConfigError):
+            prime_count(100, cap)
 
 
 def test_large_offset_segment_self_consistent():
@@ -327,22 +346,22 @@ def test_primes_between_oracle_agrees_with_trial_division():
 
 
 @settings(max_examples=100, deadline=None)
-@given(lo=st.one_of(st.integers(0, 3), _near(_WHEEL_PERIOD, 200), _near(_SQF_BLOCK, 16),
+@given(lo=st.one_of(st.integers(0, 3), _near(_WHEEL_PERIOD, 200), _near(_RUN_BYTES, 16),
                     st.integers(0, 10 ** 7)),
        width=st.one_of(st.integers(1, 3000),
                        st.builds(lambda w, d: w + d,
                                  st.sampled_from([_WHEEL_PERIOD, 2 * _WHEEL_PERIOD,
-                                                  _SQF_BLOCK, 2 * _SQF_BLOCK]),
+                                                  _RUN_BYTES, 2 * _RUN_BYTES]),
                                  st.integers(-3, 3))))
 def test_squarefree_flags_match_oracle_property(lo, width):
-    # windows starting at 0..3 or next to a wheel period or block edge, widths
-    # on either side of one or two periods or blocks; the oracle checks every
+    # windows starting at 0..3 or next to a wheel period or flag-run edge, widths
+    # on either side of one or two periods or runs; the oracle checks every
     # cell of a narrow window and the cells around each edge of a wide one
     hi = lo + width
     if width <= 3000:
         cells = range(width)
     else:
-        edges = [0, width, *range(0, width, _SQF_BLOCK),
+        edges = [0, width, *range(0, width, _RUN_BYTES),
                  *range(-lo % _WHEEL_PERIOD, width, _WHEEL_PERIOD)]
         cells = sorted({i for e in edges for i in range(e - 3, e + 3) if 0 <= i < width})
     flags = _assert_squarefree_window(lo, hi, cells)
@@ -381,11 +400,11 @@ def test_squarefree_flags_memory_stays_near_one_byte_a_cell():
 
 
 @settings(max_examples=100, deadline=None)
-@given(lo=st.one_of(st.integers(0, 3), _near(_WHEEL_PERIOD, 200), _near(_SQF_BLOCK, 16),
+@given(lo=st.one_of(st.integers(0, 3), _near(_WHEEL_PERIOD, 200), _near(_RUN_BYTES, 16),
                     st.integers(0, 10 ** 7)),
        width=st.one_of(st.integers(1, 3000),
                        st.builds(lambda w, d: w + d,
-                                 st.sampled_from([_WHEEL_PERIOD, _SQF_BLOCK, 2 * _SQF_BLOCK]),
+                                 st.sampled_from([_WHEEL_PERIOD, _RUN_BYTES, 2 * _RUN_BYTES]),
                                  st.integers(-3, 3))),
        spare=st.integers(0, 100), seed=st.integers(0, 2 ** 32 - 1))
 def test_squarefree_flags_into_caller_buffer_property(lo, width, spare, seed):
@@ -525,7 +544,7 @@ def test_square_hits_match_brute_force_property(window, above):
 @given(lo=st.one_of(st.integers(1, 3), _near(_WHEEL_PERIOD, 200), st.integers(1, 10 ** 9),
                     st.integers(1, 10 ** 13)).map(lambda lo: max(lo, 1)),
        width=st.one_of(st.integers(1, 3000),
-                       st.builds(lambda w, d: w + d, st.just(_SQF_BLOCK), st.integers(-3, 3))))
+                       st.builds(lambda w, d: w + d, st.just(_RUN_BYTES), st.integers(-3, 3))))
 def test_squarefree_flags_equal_unit_square_radicals_property(lo, width):
     # the two sieves share the hit lister: a value is squarefree exactly
     # when no prime square divides it, that is when R(m) == 1
