@@ -48,18 +48,7 @@ _MAX_BITS = 1 << 20
 #: Largest h accepted by frac_parts; its error bound is proven up to here.
 MAX_H = 1 << 20
 
-#: Largest |c0*ck| whose rational-root candidates p/q (p | c0, q | ck) are
-#: enumerated; the trial division costs about sqrt|c0| + sqrt|ck| steps.
-_MAX_ROOT_TEST_PRODUCT = 10 ** 12
-
 _ONE_BELOW_ONE = math.nextafter(1.0, 0.0)
-
-
-def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
 
 
 def _floor_mul_sqrt(y: int, D: int) -> int:
@@ -69,18 +58,6 @@ def _floor_mul_sqrt(y: int, D: int) -> int:
     s = math.isqrt(y * y * D)
     # y*sqrt(D) is irrational, so s < |y|*sqrt(D) < s+1 strictly
     return s if y > 0 else -s - 1
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return out
 
 
 class AlgebraicAlpha:
@@ -96,6 +73,8 @@ class AlgebraicAlpha:
 
     @classmethod
     def sqrt(cls, D: int) -> "AlgebraicAlpha":
+        if D <= 0:
+            raise NonPositiveAlphaError(f"sqrt:{D} is not positive")
         return cls.quadratic(0, 1, 1, D, spec=f"sqrt:{D}")
 
     @classmethod
@@ -106,19 +85,18 @@ class AlgebraicAlpha:
             raise AlphaParseError("quadratic denominator c must be nonzero")
         if c < 0:
             a, b, c = -a, -b, -c
+        if spec is None:
+            spec = f"quad:{a},{b},{c},{D}"
         if D <= 0:
             raise AlphaParseError(f"need D > 0, got D={D}")
-        if b == 0 or _is_square(D):
-            raise NotIrrationalError(f"(({a})+({b})*sqrt({D}))/{c} is rational")
-        if b > 0:
-            positive = a >= 0 or a * a < b * b * D
-        else:
-            positive = a > 0 and a * a > b * b * D
-        if not positive:
+        if b == 0 or math.isqrt(D) ** 2 == D:
+            raise NotIrrationalError(f"{spec} is rational")
+        # b*sqrt(D) is irrational, so a + b*sqrt(D) > 0 iff a + floor(b*sqrt(D)) >= 0
+        if a + _floor_mul_sqrt(b, D) < 0:
             raise NonPositiveAlphaError("alpha must be positive")
         self = object.__new__(cls)
         self.kind = "quadratic"
-        self.spec = spec if spec is not None else f"quad:{a},{b},{c},{D}"
+        self.spec = spec
         self._a, self._b, self._c, self._D = a, b, c, D
         self._scaled_floors = {}
         return self
@@ -128,8 +106,12 @@ class AlgebraicAlpha:
                   spec: Optional[str] = None) -> "AlgebraicAlpha":
         """The unique root of Sum c_i x^i inside the rational interval (lo, hi).
 
-        Validation is rational-root exclusion plus a strict sign change;
-        irreducibility for degree >= 3 is the caller's responsibility.
+        Validation is a strict sign change plus one exact grid test: a
+        rational root p/q of f has q | c_k, so it lies on the grid of step
+        1/|c_k|, and once the interval is narrower than that step it holds
+        at most one grid point, which is tested.  That the root in (lo, hi)
+        is unique, and irreducibility for degree >= 3, are the caller's
+        responsibility.
         """
         coeffs = [int(c) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
@@ -144,7 +126,6 @@ class AlgebraicAlpha:
         shi = cls._poly_sign_static(coeffs, hi)
         if slo == 0 or shi == 0 or slo == shi:
             raise AlphaParseError("polynomial must change sign strictly across (lo, hi)")
-        cls._reject_rational_roots(coeffs, lo, hi)
         self = object.__new__(cls)
         self.kind = "poly_root"
         if spec is None:
@@ -157,27 +138,16 @@ class AlgebraicAlpha:
         self._sign_lo = slo
         self._bits = 0
         self._scaled_floors = {}
+        ck = abs(coeffs[-1])
+        self._refine_below(Fraction(1, ck))
+        grid = Fraction(math.floor(self._lo * ck) + 1, ck)
+        if grid < self._hi and cls._poly_sign_static(coeffs, grid) == 0:
+            raise NotIrrationalError(f"rational root {grid} inside the interval")
         while self._lo < 0:
             if self._hi <= 0:
                 raise NonPositiveAlphaError("alpha must be positive")
             self._bisect_once()
         return self
-
-    @staticmethod
-    def _reject_rational_roots(coeffs, lo: Fraction, hi: Fraction) -> None:
-        c0, ck = coeffs[0], coeffs[-1]
-        if c0 == 0:
-            if lo < 0 < hi:
-                raise NotIrrationalError("0 is a rational root inside the interval")
-            return
-        if abs(c0 * ck) > _MAX_ROOT_TEST_PRODUCT:
-            raise RangeCapError(f"|c0*ck| = {abs(c0 * ck)} exceeds the rational-root "
-                                f"test's cap {_MAX_ROOT_TEST_PRODUCT}")
-        for p in _divisors(c0):
-            for q in _divisors(ck):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if lo < cand < hi and AlgebraicAlpha._poly_sign_static(coeffs, cand) == 0:
-                        raise NotIrrationalError(f"rational root {cand} inside the interval")
 
     # ---- poly_root internals ----
 
@@ -200,8 +170,11 @@ class AlgebraicAlpha:
                 f"refinement of {self.spec} exceeded {_MAX_BITS} bits"
             )
         mid = (self._lo + self._hi) / 2
-        # mid cannot be a root: rational roots in the interval were excluded
-        if self._poly_sign_static(self._coeffs, mid) == self._sign_lo:
+        # a root here is rational; none is left once poly_root's grid test passed
+        sign = self._poly_sign_static(self._coeffs, mid)
+        if sign == 0:
+            raise NotIrrationalError(f"rational root {mid} inside the interval")
+        if sign == self._sign_lo:
             self._lo = mid
         else:
             self._hi = mid
@@ -272,8 +245,8 @@ class AlgebraicAlpha:
         """
         if h < 1 or n < 1 or m < 1:
             raise InvalidRangeError(f"need h, n, m >= 1, got h={h}, n={n}, m={m}")
-        if not eps > 0:
-            raise InvalidRangeError("eps must be positive")
+        if not 0 < eps < math.inf:
+            raise InvalidRangeError(f"eps must be positive and finite, got {eps}")
         w = h * n
         bits = (w // m).bit_length() + max(8, math.ceil(-math.log2(eps))) + 8
         A = self.scaled_floor_bits(bits)
@@ -433,12 +406,7 @@ def parse_alpha(spec: str) -> AlgebraicAlpha:
         raise AlphaParseError(f"alpha spec {spec!r} lacks a 'kind:' prefix")
     kind, _, body = spec.partition(":")
     if kind == "sqrt":
-        D = _parse_int(body, "sqrt spec")
-        if D <= 0:
-            raise NonPositiveAlphaError(f"sqrt:{D} is not positive")
-        if _is_square(D):
-            raise NotIrrationalError(f"sqrt:{D} is rational")
-        return AlgebraicAlpha.sqrt(D)
+        return AlgebraicAlpha.sqrt(_parse_int(body, "sqrt spec"))
     if kind == "quad":
         parts = body.split(",")
         if len(parts) != 4:

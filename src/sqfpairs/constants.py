@@ -182,15 +182,23 @@ def coprime_double_sum(L: int) -> float:
 
 
 def tail_tau_sum(z: int, Z: int) -> float:
-    """Sum of tau(n)/n^2 over z < n <= Z (empirical truncation-tail mass)."""
+    """Sum of tau(n)/n^2 over z < n <= Z (empirical truncation-tail mass).
+
+    The terms are formed one window of 2**20 values at a time (the counts'
+    prime window) and fed to math.fsum as they come, so only one window's
+    terms are held; fsum is exactly rounded, so the windows cannot change
+    the result.
+    """
     if not 1 <= z < Z:
         raise InvalidRangeError(f"need 1 <= z < Z, got z={z}, Z={Z}")
-    pieces: list[float] = []
-    for cur in range(z + 1, Z + 1, DEFAULT_SEGMENT_CAP):
-        top = min(cur + DEFAULT_SEGMENT_CAP, Z + 1)
-        n = np.arange(cur, top, dtype=np.float64)
-        pieces.extend((sieve_segment(cur, top, {"tau"}).tau / (n * n)).tolist())
-    return math.fsum(pieces)
+    step = 1 << 20
+
+    def terms(lo: int) -> list[float]:
+        hi = min(lo + step, Z + 1)
+        n = np.arange(lo, hi, dtype=np.float64)
+        return (sieve_segment(lo, hi, {"tau"}).tau / (n * n)).tolist()
+
+    return math.fsum(chain.from_iterable(terms(lo) for lo in range(z + 1, Z + 1, step)))
 
 
 def reference_exponents() -> dict[str, float]:

@@ -48,7 +48,8 @@ class BudgetExceededError(CapError):
 class PrecisionExhaustedError(RuntimeError):
     """Interval refinement hit the hard bit cap.
 
-    This signals a representation bug (e.g. a rational root slipped through
-    validation), never a genuine ambiguity: floors of irrational multiples
-    are always decidable at finite precision.
+    This signals a representation bug, never a genuine ambiguity: once
+    poly_root's grid test passes, the isolating interval holds no rational
+    root, and floors of irrational multiples are always decidable at finite
+    precision.
     """

@@ -49,8 +49,10 @@ from .sieves import DEFAULT_SEGMENT_CAP, GLOBAL_MAX, iter_prime_segments
 #: Per-call cap on the number of evaluated (h, d, t, p) tuples.
 DEFAULT_BUDGET = 10 ** 6
 
-#: Cap keeping phase arithmetic well inside the exact range; the cap MAX_H
-#: on h belongs to the phase layer (AlgebraicAlpha.frac_parts).
+#: Largest modulus m = (d*t)**2 of an exponential-sum query: a limit on query
+#: size, not on precision (frac_parts is proven for every m >= 1, and the
+#: discrepancy points take larger m).  The cap MAX_H on h belongs to the
+#: phase layer (AlgebraicAlpha.frac_parts).
 MAX_PHASE_MODULUS = 1 << 40
 
 #: Per-term phase precision mod 1 that the tests hold frac_parts to; its
@@ -331,7 +333,7 @@ def _check_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.size == 0:
         raise InvalidRangeError("points must be nonempty")
-    if np.any(pts < 0.0) or np.any(pts >= 1.0):
+    if not np.all((pts >= 0.0) & (pts < 1.0)):  # NaN fails both comparisons
         raise ConfigError("points must lie in [0, 1)")
     return pts
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -47,6 +48,8 @@ def test_parse_rejects_rational():
         parse_alpha("quad:3,0,2,5")
     with pytest.raises(NotIrrationalError):
         parse_alpha("poly:-4,0,1@1/1,3/1")  # root 2
+    with pytest.raises(NotIrrationalError, match="rational root 5/3"):
+        parse_alpha("poly:-25,0,9@1/1,2/1")  # on the grid of step 1/9, off every midpoint
     with pytest.raises(NotIrrationalError):
         parse_alpha("poly:1,1@0/1,1/1")  # degree 1
 
@@ -58,6 +61,9 @@ def test_parse_rejects_non_positive():
         parse_alpha("quad:-5,1,1,2")
     with pytest.raises(NonPositiveAlphaError):
         parse_alpha("poly:-2,0,1@-2/1,-1/1")  # root -sqrt(2)
+    for D in (0, -2):
+        with pytest.raises(NonPositiveAlphaError):
+            AlgebraicAlpha.sqrt(D)
 
 
 def test_parse_rejects_malformed():
@@ -95,6 +101,14 @@ def test_floor_matches_isqrt_form(sqrt2):
 def test_quadratic_and_poly_agree(sqrt2, poly_sqrt2):
     for n in range(2001):
         assert sqrt2.floor_times(n) == poly_sqrt2.floor_times(n)
+
+
+def test_negative_c_quadratic_has_the_floors_of_its_negation():
+    # (-1 - sqrt(5))/(-2) is the golden ratio (1 + sqrt(5))/2
+    neg, pos = parse_alpha("quad:-1,-1,-2,5"), parse_alpha("quad:1,1,2,5")
+    ns = list(range(2001)) + [10 ** 12 + 39, 123456789]
+    assert [neg.floor_times(n) for n in ns] == [pos.floor_times(n) for n in ns]
+    assert neg.floors_bulk(ns).tolist() == pos.floors_bulk(ns).tolist()
 
 
 def test_negative_b_quadratic_floor():
@@ -162,6 +176,12 @@ def test_frac_part_examples(sqrt2):
     assert abs(sqrt2.frac_part_approx(1, 1, 1) - (math.sqrt(2) - 1)) < 1e-12
     assert abs(sqrt2.frac_part_approx(2, 1, 2) - (math.sqrt(2) - 1)) < 1e-12
     assert abs(sqrt2.frac_part_approx(1, 2, 1) - (2 * math.sqrt(2) - 2)) < 1e-12
+
+
+def test_frac_part_approx_refuses_a_bad_eps(sqrt2):
+    for eps in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(InvalidRangeError):
+            sqrt2.frac_part_approx(1, 3, 1, eps=eps)
 
 
 def test_frac_part_consistency_with_floor(sqrt2, golden, poly_sqrt2):
@@ -340,12 +360,26 @@ def test_floors_bulk_property_matches_floor_times(spec, data):
     assert alpha.floors_bulk(ns).tolist() == [alpha.floor_times(n) for n in ns]
 
 
-def test_huge_poly_coefficients_are_refused_before_the_root_test():
-    # the rational-root test would trial-divide up to sqrt(1e20) = 1e10
-    with pytest.raises(RangeCapError):
-        parse_alpha(f"poly:{-10 ** 20},0,0,1@1/1,{10 ** 7}/1")
-    with pytest.raises(RangeCapError):
-        parse_alpha(f"poly:-3,0,0,{10 ** 13}@0/1,1/1")
+def _icbrt(n: int) -> int:
+    """floor(n ** (1/3)) for an integer n >= 0, by integer bisection."""
+    lo, hi = 0, 1 << (n.bit_length() // 3 + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid ** 3 <= n else (lo, mid)
+    return lo
+
+
+def test_huge_poly_coefficients_parse_promptly():
+    # the grid test costs a few dozen bisections whatever |c0*ck| is:
+    # [alpha*n] = floor(cbrt(c*n^3)) for the cube roots of 10^20 and 3/10^13
+    ns = [1, 2, 3, 97, 10 ** 4, 10 ** 6 + 3, 10 ** 9]
+    for spec, cube in ((f"poly:{-10 ** 20},0,0,1@1/1,{10 ** 7}/1", lambda n: 10 ** 20 * n ** 3),
+                       (f"poly:-3,0,0,{10 ** 13}@0/1,1/1", lambda n: 3 * n ** 3 // 10 ** 13)):
+        start = time.perf_counter()
+        alpha = parse_alpha(spec)
+        floors = [alpha.floor_times(n) for n in ns]
+        assert time.perf_counter() - start < 1.0, spec
+        assert floors == [_icbrt(cube(n)) for n in ns], spec
 
 
 def test_floors_bulk_matches_exact(sqrt2, golden, poly_sqrt2):

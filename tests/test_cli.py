@@ -12,7 +12,7 @@ import pytest
 
 import sqfpairs
 from oracles import read_table
-from sqfpairs import cli, counting
+from sqfpairs import cli, counting, expsum
 from sqfpairs.alpha import AlgebraicAlpha
 from sqfpairs.cli import (
     COLUMNS,
@@ -225,6 +225,18 @@ def test_readme_cli_tables_match_the_code():
     assert sorted(keys) == sorted(COLUMNS)
 
 
+def test_readme_lab_notes_match_error_table():
+    # the fit that README quotes, recomputed (about 0.4 s)
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    notes = readme.read_text(encoding="utf-8").split("\n## Lab notes\n")[1].split("\n## ")[0]
+    spec, ns, theta, errors = re.search(
+        r"fit --alpha (\S+) --n (\S+)` fits `theta_hat` =\s+([\d.]+)\s+\(abs_error ([^)]*)\)",
+        notes).groups()
+    table = counting.error_table(sqfpairs.parse_alpha(spec), parse_number_list(ns))
+    assert f"{table.fitted_exponent:.14g}" == theta
+    assert [f"{r.abs_error:.1f}" for r in table.reports] == re.findall(r"[\d.]+", errors)
+
+
 def test_csv_round_trip_recovers_canonical_values(tmp_path):
     out = tmp_path / "fit.csv"
     assert run_cli("fit", "--alpha", "sqrt:2", "--n", "100,1000,10000",
@@ -433,12 +445,54 @@ def test_dyadic_d_t_beyond_float_range_exit_3(tmp_path, capsys):
     assert "Traceback" not in err and "--d and --t must be at most" in err
 
 
-def test_huge_poly_constant_term_exits_3_promptly(tmp_path, capsys):
+def test_huge_poly_constant_term_counts_promptly(tmp_path):
+    # |c0*ck| = 1e20: the grid test at the isolated root needs no divisors
+    out = tmp_path / "x.csv"
     start = time.perf_counter()
     assert run_cli("pairs", "--alpha", f"poly:{-10 ** 20},0,0,1@1/1,{10 ** 7}/1",
-                   "--n", "100", "--out", str(tmp_path / "x.csv")) == 3
+                   "--n", "100", "--out", str(out)) == 0
     assert time.perf_counter() - start < 1.0
-    assert "rational-root" in capsys.readouterr().err
+    row, = read_table(out)
+    assert (row["count"], row["pi_N"]) == (13, 25)
+
+
+def test_poly_with_a_rational_root_and_c0_zero_exits_2_promptly():
+    # x^3 - 4x and 9x^3 - 25x have the rational roots 2 and 5/3 inside the
+    # interval; run in a child, so that a parse that hangs fails in seconds
+    env = dict(os.environ, PYTHONPATH=str(Path(sqfpairs.__file__).parents[1]))
+    for spec, root in (("poly:0,-4,0,1@1/1,3/1", "2"), ("poly:0,-25,0,9@1/1,2/1", "5/3")):
+        proc = subprocess.run([sys.executable, "-m", "sqfpairs", "pairs", "--alpha", spec,
+                               "--n", "100"],
+                              env=env, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert f"rational root {root} inside" in proc.stderr
+        assert proc.stdout == ""
+
+
+def test_exp_sum_refuses_bad_queries_before_sieving(tmp_path, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a prime was sieved before the query was checked")
+
+    monkeypatch.setattr(expsum, "iter_prime_segments", unreachable)
+    out = str(tmp_path / "x.csv")
+    # d = 0 and N = 1 exit 2; h above MAX_H = 2**20 and the modulus
+    # (1100*1000)**2 = 1.21e12 above 2**40 exit 3
+    for n, extra, code in (("1000", ("--d", "0"), 2), ("1", (), 2),
+                           ("1000", ("--h", "1048577"), 3),
+                           ("1000", ("--d", "1100", "--t", "1000"), 3)):
+        argv = ("expsum", "--alpha", "sqrt:2", "--n", n, "--h", "1", *extra, "--out", out)
+        assert run_cli(*argv) == code, argv
+
+
+def test_run_refuses_bad_format_segment_cap_and_budget(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    assert run_cli("pairs", "--alpha", "sqrt:2", "--n", "100", "--format", "xml",
+                   "--out", out) == 2
+    assert "unknown format 'xml'" in capsys.readouterr().err
+    for flag, value in (("--segment-cap", "1"), ("--budget", "0")):
+        assert run_cli("expsum", "--alpha", "sqrt:2", "--n", "100", flag, value,
+                       "--out", out) == 2, flag
+        assert "segment cap and budget must be positive" in capsys.readouterr().err
 
 
 def test_out_of_memory_exits_3_naming_segment_cap():

@@ -166,6 +166,19 @@ def test_tail_tau_sum_single_term():
     assert tail_tau_sum(1, 2) == 0.5
 
 
+def test_tail_tau_sum_holds_one_window_of_terms():
+    # the terms are fed to fsum one window of 2**20 values at a time; holding
+    # every term until the sum peaked at 105 MB here
+    tracemalloc.start()
+    try:
+        value = tail_tau_sum(10, 2 * 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == float.fromhex("0x1.b2cdc3d185e57p-2")
+    assert peak <= 80 * 10 ** 6, peak
+
+
 def test_tail_tau_sum_halving():
     t10 = tail_tau_sum(10, 10 ** 6)
     t20 = tail_tau_sum(20, 10 ** 6)

@@ -120,6 +120,15 @@ def test_pair_count_where_float_alpha_cancels():
     assert pair_count(alpha, N).count == expected
 
 
+@pytest.mark.parametrize("spec", ["poly:-2,0,1,0,0@1/1,2/1", "poly:-2,0,1@-1/1,2/1",
+                                  "poly:-18,24,1,-12,4@1/1,8/5"])
+def test_poly_specs_of_sqrt2_count_as_sqrt2(spec):
+    # trailing zero coefficients, an interval across 0, and (2x - 3)^2 (x^2 - 2),
+    # whose double root 3/2 in (1, 8/5) is left outside once the interval is
+    # refined below 1/4, since f keeps its sign there
+    assert pair_count(parse_alpha(spec), 10 ** 4).count == 429
+
+
 def test_pair_count_requires_n_at_least_2(sqrt2):
     with pytest.raises(InvalidRangeError):
         pair_count(sqrt2, 1)

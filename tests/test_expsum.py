@@ -135,6 +135,8 @@ def test_dyadic_sieves_once(sqrt2, monkeypatch):
 def test_dyadic_rejects_blocks_below_one(sqrt2):
     with pytest.raises(InvalidRangeError):
         dyadic_block_sum(sqrt2, DyadicQuery(0.5, 1, 1, 100))
+    with pytest.raises(InvalidRangeError):  # and N below 2
+        dyadic_block_sum(sqrt2, DyadicQuery(1, 1, 1, 1))
 
 
 def test_dyadic_rejects_non_finite_blocks(sqrt2):
@@ -206,8 +208,10 @@ def test_star_discrepancy_examples():
 
 
 def test_star_discrepancy_range_validation():
-    with pytest.raises(ConfigError):
-        star_discrepancy([0.5, 1.0])
+    # NaN fails both pts < 0 and pts >= 1, and must be refused all the same
+    for bad in (1.0, math.nan):
+        with pytest.raises(ConfigError, match=r"\[0, 1\)"):
+            star_discrepancy([0.5, bad])
     with pytest.raises(InvalidRangeError):
         star_discrepancy([])
 
@@ -255,6 +259,8 @@ def test_erdos_turan_interval_validation(sqrt2):
         erdos_turan_bound(pts, 10, (0.2, 1.1))
     with pytest.raises(InvalidRangeError):
         erdos_turan_bound(pts, 0, (0.2, 0.4))
+    with pytest.raises(ConfigError, match=r"\[0, 1\)"):
+        erdos_turan_bound([0.5, math.nan], 3, (0.0, 0.5))
 
 
 def test_ratio_scan_plumbing(sqrt2):
