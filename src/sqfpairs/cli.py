@@ -55,7 +55,7 @@ _MAX_COUNT_DIGITS = 30
 
 @dataclass
 class ExperimentConfig:
-    """One experiment; the only copy of each option's default."""
+    """One experiment; the only copy of each option's default, except h's."""
 
     command: str
     alpha_spec: str = ""
@@ -69,6 +69,8 @@ class ExperimentConfig:
     P: int = 10 ** 6
     d: int = 1
     t: int = 1
+    #: None selects expsum's dyadic mode, and discrepancy --interval then
+    #: takes its Erdos-Turan H as 100 (_run_discrepancy)
     h: Optional[int] = None
     interval: Optional[tuple] = None
 
@@ -172,7 +174,7 @@ def _run_sigma(cfg: ExperimentConfig):
 
 def _run_carlitz(cfg: ExperimentConfig):
     smid = counting.sigma_midpoint()
-    counts = ((n, counting.carlitz_count(n, cfg.segment_cap)) for n in _need_n(cfg))
+    counts = ((n, counting.carlitz_count(n)) for n in _need_n(cfg))
     return "carlitz", [(n, c, c / n, smid, abs(c / n - smid)) for n, c in counts]
 
 
@@ -185,13 +187,12 @@ def _run_count(cfg: ExperimentConfig):
     """pairs or single: one report row per N."""
     alpha = _need_alpha(cfg)
     count = counting.pair_count if cfg.command == "pairs" else counting.single_count
-    return cfg.command, [_report_row(count(alpha, n, cfg.segment_cap)) for n in _need_n(cfg)]
+    return cfg.command, [_report_row(count(alpha, n)) for n in _need_n(cfg)]
 
 
 def _run_decompose(cfg: ExperimentConfig):
     alpha = _need_alpha(cfg)
-    reps = (counting.decompose(alpha, n, apply_rule(cfg.z_rule, n), cfg.segment_cap)
-            for n in _need_n(cfg))
+    reps = (counting.decompose(alpha, n, apply_rule(cfg.z_rule, n)) for n in _need_n(cfg))
     return "decompose", [(r.N, r.z, r.sigma1, r.sigma2, r.total) for r in reps]
 
 
@@ -215,21 +216,23 @@ def _run_discrepancy(cfg: ExperimentConfig):
     alpha = _need_alpha(cfg)
     m = (cfg.d * cfg.t) ** 2
     ks = _need_n(cfg)
-    points = (expsum.beatty_frac_points(alpha, k, m, cfg.segment_cap) for k in ks)
-    if cfg.interval is None:
-        return "discrepancy", [(k, m, expsum.star_discrepancy(pts)) for k, pts in zip(ks, points)]
-    a, b = cfg.interval
     H = cfg.h if cfg.h is not None else 100
     for k in ks:  # every K is checked before the first point is computed
         expsum.check_point_count(k, cfg.segment_cap)
-        expsum.check_erdos_turan(k, H, (a, b), cfg.budget)
-    reps = (expsum.erdos_turan_bound(pts, H, (a, b), cfg.budget) for pts in points)
-    return "discrepancy_et", [(k, m, a, b, H, r.lhs, r.rhs, r.ratio) for k, r in zip(ks, reps)]
+        if cfg.interval is not None:
+            expsum.check_erdos_turan(k, H, cfg.interval, cfg.budget)
+    # the points of the largest K, once: each K reads a prefix (frac_parts is elementwise)
+    points = expsum.beatty_frac_points(alpha, ks[-1], m, cfg.segment_cap)
+    if cfg.interval is None:
+        return "discrepancy", [(k, m, expsum.star_discrepancy(points[:k])) for k in ks]
+    a, b = cfg.interval
+    reps = ((k, expsum.erdos_turan_bound(points[:k], H, (a, b), cfg.budget)) for k in ks)
+    return "discrepancy_et", [(k, m, a, b, H, r.lhs, r.rhs, r.ratio) for k, r in reps]
 
 
 def _run_fit(cfg: ExperimentConfig):
     alpha = _need_alpha(cfg)
-    table = counting.error_table(alpha, _need_n(cfg), cfg.segment_cap)
+    table = counting.error_table(alpha, _need_n(cfg))
     return "fit", [_report_row(r) + (table.fitted_exponent,) for r in table.reports]
 
 
@@ -290,19 +293,19 @@ _FIELDS = {
     "--t": ("t", _parse_modulus_factor, "modulus factor t, 1e3 shorthand ok"),
     "--h": ("h", parse_count, "expsum: the one h to sum at; discrepancy: Erdos-Turan H"),
     "--interval": ("interval", _parse_interval, "a,b with 0 <= a < b <= 1"),
-    "--segment-cap": ("segment_cap", parse_count, "cells per sieve window"),
+    "--segment-cap": ("segment_cap", parse_count, "most values held at once (prime window, K)"),
     "--budget": ("budget", parse_count, "cap on exponential terms"),
     "--format": ("output_format", str, "csv or json"),
     "--out": ("output_path", str, "output path, - for stdout"),
 }
 
-_PAIR_OPTIONS = ("--alpha", "--n", "--segment-cap")
+_PAIR_OPTIONS = ("--alpha", "--n")
 
 #: The options each command reads besides --format and --out; any other
 #: option is an argparse error (exit 2).
 OPTIONS = {
     "sigma": ("--P",),
-    "carlitz": ("--n", "--segment-cap"),
+    "carlitz": ("--n",),
     "pairs": _PAIR_OPTIONS,
     "single": _PAIR_OPTIONS,
     "decompose": _PAIR_OPTIONS + ("--z",),
@@ -342,10 +345,22 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         field: parse(getattr(args, field)) for field, parse, _ in fields if hasattr(args, field)})
 
 
+def _refuse_options_the_mode_ignores(args: argparse.Namespace) -> None:
+    """expsum with --h reads neither --H nor --budget, and discrepancy without
+    --interval reads neither --h nor --budget: given, they are a ConfigError."""
+    ignored = {"expsum": ("--H", "--budget") if hasattr(args, "h") else (),
+               "discrepancy": () if hasattr(args, "interval") else ("--h", "--budget")}
+    given = [flag for flag in ignored.get(args.command, ()) if hasattr(args, _FIELDS[flag][0])]
+    if given:
+        mode = "with --h" if args.command == "expsum" else "without --interval"
+        raise ConfigError(f"{args.command} {mode} does not read {', '.join(given)}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _refuse_options_the_mode_ignores(args)
         cfg = config_from_args(args)
         return run(cfg)
     except ConfigError as exc:

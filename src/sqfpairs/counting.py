@@ -3,9 +3,10 @@
 Counts are exact integers throughout; the only floating step is the final
 comparison against the density prediction, so observed convergence can never
 be a rounding artifact.  Every count over primes reads one stream of
-(primes, floors) segments, one per prime window of min(segment_cap,
-_PRIME_WINDOW) values whatever alpha is (512 KiB of odd cells, which stay in
-cache while the base primes strike them).
+(primes, floors) segments, one per prime window of _PRIME_WINDOW = 2**20
+values whatever alpha is (512 KiB of odd cells, which stay in cache while
+the base primes strike them).  The counts fix their own windows: no caller
+sets them.
 
 The sieve-backed counts share one pass, _floor_runs.  It skips a segment's
 zero floors (alpha < 1/2 only), and _floor_windows cuts the rest greedily
@@ -16,11 +17,11 @@ Each run is sieved into one buffer per count, and the values at m and m + 1
 are gathered into fresh arrays, so no view of the buffer outlives it.  One
 rule sets the span of every count: a run's buffer holds at most _RUN_BYTES
 (1 MiB, which stays in cache while the small squares strike it), so the span
-is min(segment_cap, _RUN_BYTES // itemsize) cells of the buffer's dtype:
-2**20 squarefree flags for pair_count and single_count, 2**18 int32
-radicals for decompose.  carlitz_count flags [1, N + 1] in windows of the
-same 2**20 cells, into one buffer of its own.  Memory beyond the prime
-window is therefore bounded by 1 MiB a buffer for every alpha and cap.
+is _RUN_BYTES // itemsize cells of the buffer's dtype: 2**20 squarefree
+flags for pair_count and single_count, 2**18 int32 radicals for decompose.
+carlitz_count flags [1, N + 1] in windows of the same 2**20 cells, into one
+buffer of its own.  Memory beyond the prime window is therefore bounded by
+1 MiB a buffer for every alpha.
 
 The one buffer rule: the buffer grows to min(span, floor span of the widest
 prime window met), which holds every run of that window.  Sizing by the
@@ -62,7 +63,6 @@ from . import constants
 from .alpha import AlgebraicAlpha
 from .errors import ConfigError, InvalidRangeError, NotCoprimeError, RangeCapError
 from .sieves import (
-    DEFAULT_SEGMENT_CAP,
     GLOBAL_MAX,
     base_primes,
     iter_prime_segments,
@@ -73,7 +73,7 @@ from .sieves import (
 #: Truncation used for the density midpoint entering predictions.
 SIGMA_PRODUCT_LIMIT = 10 ** 6
 
-#: Widest prime window: min(segment_cap, this) values for every alpha.
+#: Values of a prime window, for every alpha.
 _PRIME_WINDOW = 1 << 20
 
 #: Largest buffer of a run, in bytes: the span rule of every count (module docstring).
@@ -139,16 +139,14 @@ def _check_n(alpha: AlgebraicAlpha, N: int) -> None:
         raise RangeCapError(f"alpha*N = {top:.6g} exceeds global maximum {GLOBAL_MAX}")
 
 
-def _prime_floors(alpha: AlgebraicAlpha, N: int, segment_cap: int):
+def _prime_floors(alpha: AlgebraicAlpha, N: int):
     """(primes, floors) per prime window of the primes p <= N; checks run at the call.
 
-    The prime windows are [2 + i*W, 2 + (i + 1)*W), W = min(segment_cap,
-    _PRIME_WINDOW), empty ones skipped.
+    The prime windows are [2 + i*W, 2 + (i + 1)*W), W = _PRIME_WINDOW,
+    empty ones skipped.
     """
     _check_n(alpha, N)
-    if segment_cap < 2:
-        raise ConfigError("segment cap must be at least 2")
-    return _floor_stream(alpha, iter_prime_segments(2, N + 1, min(segment_cap, _PRIME_WINDOW)))
+    return _floor_stream(alpha, iter_prime_segments(2, N + 1, _PRIME_WINDOW))
 
 
 def _floor_stream(alpha: AlgebraicAlpha, segments):
@@ -172,34 +170,32 @@ def _floor_windows(fl: np.ndarray, span: int):
         a = b
 
 
-def carlitz_count(N: int, segment_cap: int = DEFAULT_SEGMENT_CAP) -> int:
+def carlitz_count(N: int) -> int:
     """Exact number of n <= N with n and n+1 both squarefree."""
     if N < 1:
         raise InvalidRangeError(f"need N >= 1, got N={N}")
     if N + 2 > GLOBAL_MAX:
         raise RangeCapError(f"N + 2 = {N + 2} exceeds global maximum {GLOBAL_MAX}")
-    if segment_cap < 2:
-        raise ConfigError("segment cap must be at least 2")
-    span = min(segment_cap, _RUN_BYTES, N + 1)  # bool flags, one byte a cell
+    span = min(_RUN_BYTES, N + 1)  # bool flags, one byte a cell
     buf = np.empty(span, dtype=bool)
     count = 0
     for cur in range(1, N + 1, span - 1):  # windows share their last cell
-        flags = squarefree_flags(cur, min(cur + span, N + 2), segment_cap, out=buf)
+        flags = squarefree_flags(cur, min(cur + span, N + 2), out=buf)
         count += int(np.count_nonzero(flags[:-1] & flags[1:]))
     return count
 
 
-def _floor_runs(stream, segment_cap, sieve, dtype):
+def _floor_runs(stream, sieve, dtype):
     """Per run of the floors of stream: (n, values at m, values at m + 1), fresh arrays.
 
     stream is _prime_floors' (primes, floors) windows; n counts the primes
     the item covers.  The zero floors of a window (alpha < 1/2 only) make one
     item of empty values: 0 is not squarefree and has no radical.  The
     other floors are cut by _floor_windows at the span
-    min(segment_cap, _RUN_BYTES // itemsize), and sieve(lo, hi, out=buf)
-    fills each run's values into the one buffer (module docstring).
+    _RUN_BYTES // itemsize, and sieve(lo, hi, out=buf) fills each run's
+    values into the one buffer (module docstring).
     """
-    span = min(segment_cap, _RUN_BYTES // np.dtype(dtype).itemsize)
+    span = _RUN_BYTES // np.dtype(dtype).itemsize
     buf = np.empty(0, dtype=dtype)
     for ps, fls in stream:
         zeros = int(np.searchsorted(fls, 1))  # floors ascend: the zeros are a prefix
@@ -222,12 +218,11 @@ def _floor_runs(stream, segment_cap, sieve, dtype):
         ps = fls = fl = idx = at_m = None  # dropped before the next window (module docstring)
 
 
-def _count_over_primes(alpha: AlgebraicAlpha, N: int, segment_cap: int):
+def _count_over_primes(alpha: AlgebraicAlpha, N: int):
     """(pair count, single count, prime count) of the primes p <= N, from one pass."""
     pairs = singles = pi_n = 0
     # the name is read as the count runs, so that a patched squarefree_flags is the one called
-    for n, at_m, at_m1 in _floor_runs(_prime_floors(alpha, N, segment_cap), segment_cap,
-                                      squarefree_flags, bool):
+    for n, at_m, at_m1 in _floor_runs(_prime_floors(alpha, N), squarefree_flags, bool):
         pi_n += n
         singles += int(np.count_nonzero(at_m))
         at_m &= at_m1
@@ -249,22 +244,19 @@ def _report(alpha: AlgebraicAlpha, N: int, count: int, pi_n: int, density: float
     )
 
 
-def pair_count(alpha: AlgebraicAlpha, N: int,
-               segment_cap: int = DEFAULT_SEGMENT_CAP) -> PairCountReport:
+def pair_count(alpha: AlgebraicAlpha, N: int) -> PairCountReport:
     """Count primes p <= N with [alpha*p] and [alpha*p]+1 both squarefree."""
-    count, _, pi_n = _count_over_primes(alpha, N, segment_cap)
+    count, _, pi_n = _count_over_primes(alpha, N)
     return _report(alpha, N, count, pi_n, sigma_midpoint())
 
 
-def single_count(alpha: AlgebraicAlpha, N: int,
-                 segment_cap: int = DEFAULT_SEGMENT_CAP) -> PairCountReport:
+def single_count(alpha: AlgebraicAlpha, N: int) -> PairCountReport:
     """Count primes p <= N with [alpha*p] squarefree (prediction 6/pi^2 * pi(N))."""
-    _, count, pi_n = _count_over_primes(alpha, N, segment_cap)
+    _, count, pi_n = _count_over_primes(alpha, N)
     return _report(alpha, N, count, pi_n, basel_midpoint())
 
 
-def congruence_pair_count(alpha: AlgebraicAlpha, N: int, d: int, t: int,
-                          segment_cap: int = DEFAULT_SEGMENT_CAP) -> int:
+def congruence_pair_count(alpha: AlgebraicAlpha, N: int, d: int, t: int) -> int:
     """Count primes p <= N with [alpha*p] = 0 (mod d^2) and [alpha*p]+1 = 0 (mod t^2).
 
     Requires gcd(d, t) = 1; the decomposition only ever sums over coprime
@@ -281,7 +273,7 @@ def congruence_pair_count(alpha: AlgebraicAlpha, N: int, d: int, t: int,
     d2 = min(d * d, 1 << 53)
     t2 = min(t * t, 1 << 53)
     count = 0
-    for _, fl in _prime_floors(alpha, N, segment_cap):
+    for _, fl in _prime_floors(alpha, N):
         count += int(np.count_nonzero((fl % d2 == 0) & ((fl + 1) % t2 == 0)))
     return count
 
@@ -343,8 +335,7 @@ def _split_sums(keys: np.ndarray, counts: np.ndarray, z: float):
     return int(w[near].sum()), int(w[~near].sum())
 
 
-def decompose(alpha: AlgebraicAlpha, N: int, z: float,
-              segment_cap: int = DEFAULT_SEGMENT_CAP) -> DecompositionReport:
+def decompose(alpha: AlgebraicAlpha, N: int, z: float) -> DecompositionReport:
     """Split the pair count into signed sums over dt <= z and dt > z.
 
     For each prime the squarefree indicators of m = [alpha*p] and m+1 expand
@@ -354,7 +345,7 @@ def decompose(alpha: AlgebraicAlpha, N: int, z: float,
 
     Those sums depend on m only through its class (R, S): R is the product of
     the primes whose square divides m, S the same for m+1.  _floor_runs
-    cuts the floors into runs of at most min(segment_cap, 2**18) cells,
+    cuts the floors into runs of at most 2**18 cells,
     m + 1 of the last floor inside, and gathers R at m and m + 1 from the
     run's radicals, which sieves.square_radicals sieves into the count's one
     int32 buffer: the run is tiled from a wheel of the radicals of 4, 9, 25
@@ -372,7 +363,7 @@ def decompose(alpha: AlgebraicAlpha, N: int, z: float,
     The rare primes with [alpha*p] = 0 (possible only for alpha < 1/2) are
     skipped, matching the convention that 0 is not squarefree.
     """
-    stream = _prime_floors(alpha, N, segment_cap)
+    stream = _prime_floors(alpha, N)
     z_cap = (alpha.to_float() * N) ** (2.0 / 3.0) * (1.0 + 1e-9)
     if not 1.0 <= z <= z_cap:
         raise ConfigError(f"z={z} outside [1, (alpha*N)^(2/3)] = [1, {z_cap:.6g}]")
@@ -381,7 +372,7 @@ def decompose(alpha: AlgebraicAlpha, N: int, z: float,
     pending = []  # run tallies not yet merged into tally
     pending_size = 0
     # R^2 divides m <= GLOBAL_MAX = 2**52, so R <= 2**26 fits int32
-    for _, rad_m, rad_m1 in _floor_runs(stream, segment_cap, square_radicals, np.int32):
+    for _, rad_m, rad_m1 in _floor_runs(stream, square_radicals, np.int32):
         keys = rad_m.astype(np.int64)
         keys <<= 32
         keys |= rad_m1
@@ -397,8 +388,7 @@ def decompose(alpha: AlgebraicAlpha, N: int, z: float,
                                total=sigma1 + sigma2)
 
 
-def error_table(alpha: AlgebraicAlpha, Ns: Sequence[int],
-                segment_cap: int = DEFAULT_SEGMENT_CAP) -> ErrorTable:
+def error_table(alpha: AlgebraicAlpha, Ns: Sequence[int]) -> ErrorTable:
     """Pair-count reports over an ascending N sweep plus the fitted exponent."""
     Ns = [int(n) for n in Ns]
     if len(Ns) < 3:
@@ -409,7 +399,7 @@ def error_table(alpha: AlgebraicAlpha, Ns: Sequence[int],
         raise InvalidRangeError("N values must be strictly ascending")
     for n in Ns:
         _check_n(alpha, n)
-    reports = tuple(pair_count(alpha, n, segment_cap) for n in Ns)
+    reports = tuple(pair_count(alpha, n) for n in Ns)
     if all(r.abs_error == 0.0 for r in reports):
         return ErrorTable(reports=reports, fitted_exponent=None)
     xs = [math.log(r.N) for r in reports]

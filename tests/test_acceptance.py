@@ -224,6 +224,11 @@ BATTERY = [
     ("erdos_turan.json", ["discrepancy", "--alpha", "sqrt:2", "--n", "1e4",
                           "--d", "2", "--t", "3", "--interval", "0,0.027777778",
                           "--h", "100", "--format", "json"]),
+    # rows for two K, each read from the points of the largest
+    ("discrepancy_ks.csv", ["discrepancy", "--alpha", "sqrt:2", "--n", "1e3,1e4",
+                            "--d", "2", "--t", "3"]),
+    ("erdos_turan_ks.csv", ["discrepancy", "--alpha", "sqrt:2", "--n", "1e3,1e4",
+                            "--interval", "0,0.5", "--h", "50"]),
     ("fit.csv", ["fit", "--alpha", "sqrt:2", "--n", "1e3,1e4,1e5"]),
     # the JSON-array writer of a table command
     ("fit.json", ["fit", "--alpha", "sqrt:2", "--n", "1e3,1e4,1e5", "--format", "json"]),

@@ -320,7 +320,8 @@ def test_count_options_take_decimal_shorthand(tmp_path):
     cases = (
         (("discrepancy", "--alpha", "sqrt:2", "--n", "1e4", "--interval", "0,0.5",
           "--h", "101", "--budget"), "1.01e6", "1010000"),
-        (("pairs", "--alpha", "sqrt:2", "--n", "1e4", "--segment-cap"), "1e3", "1000"),
+        (("expsum", "--alpha", "sqrt:2", "--n", "1e4", "--h", "2", "--segment-cap"), "1e3",
+         "1000"),
         (("expsum", "--alpha", "sqrt:2", "--n", "1000", "--d", "2", "--h"), "2e0", "2"),
     )
     for argv, short, plain in cases:
@@ -403,7 +404,7 @@ _STRAY = [(name, flag) for name in COMMANDS for flag in _SAMPLES
 
 @pytest.mark.parametrize("name, flag", _STRAY)
 def test_option_a_command_does_not_read_exits_2(name, flag, capsys, monkeypatch):
-    # each command accepts only the options it reads: 56 (command, option)
+    # each command accepts only the options it reads: 61 (command, option)
     # pairs, each refused by argparse before any work runs
     def no_run(cfg):
         raise AssertionError("run called")
@@ -415,6 +416,27 @@ def test_option_a_command_does_not_read_exits_2(name, flag, capsys, monkeypatch)
         main(argv + [flag, _SAMPLES[flag][0]])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, mode, other, flag", [
+    ("expsum", ("--h", "3"), (), "--H"),
+    ("expsum", ("--h", "3"), (), "--budget"),
+    ("discrepancy", (), ("--interval", "0,0.5"), "--h"),
+    ("discrepancy", (), ("--interval", "0,0.5"), "--budget"),
+], ids=["expsum-h-H", "expsum-h-budget", "discrepancy-h", "discrepancy-budget"])
+def test_option_a_mode_does_not_read_exits_2(name, mode, other, flag, capsys, monkeypatch):
+    # expsum with --h reads neither --H nor --budget, and discrepancy
+    # without --interval neither --h nor --budget: each is refused before
+    # any work runs, while the other mode runs with it
+    def no_run(cfg):
+        raise AssertionError("run called")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    base = [name, "--alpha", "sqrt:2", "--n", "1e3"]
+    assert main(base + list(mode) + [flag, _SAMPLES[flag][0]]) == 2
+    assert f"does not read {flag}" in capsys.readouterr().err
+    with pytest.raises(AssertionError, match="run called"):
+        main(base + list(other) + [flag, _SAMPLES[flag][0]])
 
 
 def test_oversized_dyadic_blocks_exit_3(tmp_path):
@@ -511,8 +533,7 @@ def test_out_of_memory_exits_3_naming_segment_cap():
                OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from sqfpairs.cli import main; sys.exit(main())",
-         "expsum", "--alpha", "sqrt:2", "--n", "4e9", "--h", "1", "--segment-cap", "4e9",
-         "--budget", "1e12"],
+         "expsum", "--alpha", "sqrt:2", "--n", "4e9", "--h", "1", "--segment-cap", "4e9"],
         env=env, preexec_fn=limit_memory, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 3, proc.stderr[-2000:]
     assert "Traceback" not in proc.stderr
@@ -533,6 +554,33 @@ def test_discrepancy_beyond_segment_cap_exits_3(tmp_path, capsys, monkeypatch):
         assert "Traceback" not in err and "segment cap" in err
     assert run_cli("discrepancy", "--alpha", "sqrt:2", "--n", "1001", "--segment-cap", "1000",
                    "--out", str(tmp_path / "x.csv")) == 3
+    # every K of --n is checked before the first point, without --interval too
+    assert run_cli("discrepancy", "--alpha", "sqrt:2", "--n", "1e3,1e4", "--segment-cap", "5000",
+                   "--out", str(tmp_path / "x.csv")) == 3
+
+
+@pytest.mark.parametrize("mode", [(), ("--interval", "0,0.5", "--h", "20")],
+                         ids=["star", "erdos-turan"])
+def test_discrepancy_computes_its_points_once(tmp_path, monkeypatch, mode):
+    # the points of the largest K, of which every row reads a prefix, give
+    # the rows of separate runs, one K each
+    base = ("discrepancy", "--alpha", "sqrt:2", "--d", "2", *mode)
+    rows = b""
+    for k in ("100", "1000", "10000"):
+        assert run_cli(*base, "--n", k, "--out", str(tmp_path / k)) == 0
+        rows += (tmp_path / k).read_bytes().split(b"\n", 1)[1]  # below the header
+    calls = []
+    frac_parts = AlgebraicAlpha.frac_parts
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return frac_parts(self, *args, **kwargs)
+
+    monkeypatch.setattr(AlgebraicAlpha, "frac_parts", spy)
+    out = tmp_path / "all.csv"
+    assert run_cli(*base, "--n", "100,1000,10000", "--out", str(out)) == 0
+    assert len(calls) == 1
+    assert out.read_bytes().split(b"\n", 1)[1] == rows
 
 
 def test_unwritable_path_exits_4():

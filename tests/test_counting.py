@@ -2,6 +2,7 @@ import collections
 import functools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from sqfpairs import (
 from sqfpairs import counting, sieves
 from sqfpairs.counting import sigma_midpoint
 from sqfpairs.errors import ConfigError, InvalidRangeError, NotCoprimeError
-from sqfpairs.sieves import DEFAULT_SEGMENT_CAP, base_primes
+from sqfpairs.sieves import base_primes
 
 
 def test_carlitz_examples():
@@ -38,23 +39,21 @@ def test_carlitz_matches_brute_force():
         assert carlitz_count(N) == oracles.brute_carlitz(N), N
 
 
-def test_carlitz_segmentation_boundaries():
+def test_carlitz_segmentation_boundaries(monkeypatch):
+    # carlitz_count's windows are _RUN_BYTES one-byte flags, 2 at the least
     whole = carlitz_count(500)
-    assert carlitz_count(500, segment_cap=64) == whole
-    assert carlitz_count(500, segment_cap=7) == whole
-    assert carlitz_count(500, segment_cap=2) == whole
-    with pytest.raises(ConfigError):
-        carlitz_count(500, segment_cap=1)
+    for run_bytes in (64, 7, 2):
+        monkeypatch.setattr(counting, "_RUN_BYTES", run_bytes)
+        assert carlitz_count(500) == whole, run_bytes
 
 
-def test_carlitz_memory_is_one_flag_run():
-    # 3e6 values in three windows of 2**20 flags at the default cap (4 MiB).
-    # carlitz_count holds its one 1 MiB flag buffer and, while a window's
-    # pairs are counted, the flags[:-1] & flags[1:] temporary of as many
-    # bytes; squarefree_flags' hit lists over the 269 base primes below
-    # sqrt(3e6 + 2) and their squares' hits take a few KB, and 64 KiB is
-    # allowed for them.  Sized to the cap as before, the window and its
-    # temporary took 6.0 MB here.
+def test_carlitz_memory_is_one_flag_run(monkeypatch):
+    # 3e6 values in three windows of 2**20 flags.  carlitz_count holds its
+    # one 1 MiB flag buffer and, while a window's pairs are counted, the
+    # flags[:-1] & flags[1:] temporary of as many bytes; squarefree_flags'
+    # hit lists over the 269 base primes below sqrt(3e6 + 2) and their
+    # squares' hits take a few KB, and 64 KiB is allowed for them.  Sized to
+    # windows of 2**22 values, the window and its temporary took 6.0 MB here.
     N = 3 * 10 ** 6
     base_primes(math.isqrt(N + 2) + 1)
     carlitz_count(10 ** 4)
@@ -65,7 +64,8 @@ def test_carlitz_memory_is_one_flag_run():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * counting._RUN_BYTES + 2 ** 16, peak
-    assert count == carlitz_count(N, segment_cap=999_983)  # other window edges
+    monkeypatch.setattr(counting, "_RUN_BYTES", 999_983)  # other window edges
+    assert count == carlitz_count(N)
 
 
 def test_pair_count_small(sqrt2):
@@ -269,46 +269,58 @@ def small_alpha_specs(draw):
     return spec
 
 
+def _windows(window, run_bytes):
+    """Patch the prime window and the run buffer of every count, as a context."""
+    return mock.patch.multiple(counting, _PRIME_WINDOW=window, _RUN_BYTES=run_bytes)
+
+
 @settings(max_examples=40, deadline=None)
-@given(spec=small_alpha_specs(), N=st.integers(2, 3000), cap=st.integers(2, 4096),
-       d=st.integers(1, 6), t=st.integers(1, 6), z_frac=st.floats(0.0, 1.0))
-def test_counts_do_not_depend_on_segment_cap(spec, N, cap, d, t, z_frac):
+@given(spec=small_alpha_specs(), N=st.integers(2, 3000), window=st.integers(2, 4096),
+       run_bytes=st.integers(8, 4096), d=st.integers(1, 6), t=st.integers(1, 6),
+       z_frac=st.floats(0.0, 1.0))
+def test_counts_do_not_depend_on_the_windows(spec, N, window, run_bytes, d, t, z_frac):
     assume(math.gcd(d, t) == 1)
     alpha = _alpha(spec)
-    pair = pair_count(alpha, N, cap)
-    assert pair == pair_count(alpha, N)
-    assert single_count(alpha, N, cap) == single_count(alpha, N)
-    assert congruence_pair_count(alpha, N, d, t, cap) == congruence_pair_count(alpha, N, d, t)
     z_top = (alpha.to_float() * N) ** (2.0 / 3.0)
-    if z_top >= 1.0:
-        z = 1.0 + z_frac * (z_top - 1.0)
-        rep = decompose(alpha, N, z, cap)
+    z = 1.0 + z_frac * (z_top - 1.0)
+    with _windows(window, run_bytes):
+        pair = pair_count(alpha, N)
+        single = single_count(alpha, N)
+        congruence = congruence_pair_count(alpha, N, d, t)
+        rep = decompose(alpha, N, z) if z_top >= 1.0 else None
+    assert pair == pair_count(alpha, N)
+    assert single == single_count(alpha, N)
+    assert congruence == congruence_pair_count(alpha, N, d, t)
+    if rep is not None:
         whole = decompose(alpha, N, z)
         assert (rep.sigma1, rep.sigma2) == (whole.sigma1, whole.sigma2)
         assert rep.total == pair.count
 
 
-def test_pair_count_memory_is_bounded_by_segment_cap():
-    # alpha ~ 1000: a prime segment of segment_cap values would need a flag
-    # window a thousand times the cap
+def test_pair_count_memory_is_bounded_by_its_windows(monkeypatch):
+    # alpha ~ 1000: a prime window of cap values would need a flag window a
+    # thousand times the cap, were it not cut into runs of cap flags
     alpha = parse_alpha("sqrt:999999")
     cap = 2 ** 14
     base_primes(math.isqrt(1000 * 5000) + 1)  # fill the shared caches first
     sigma_midpoint()
+    monkeypatch.setattr(counting, "_PRIME_WINDOW", cap)
+    monkeypatch.setattr(counting, "_RUN_BYTES", cap)
     tracemalloc.start()
     try:
-        rep = pair_count(alpha, 5000, segment_cap=cap)
+        rep = pair_count(alpha, 5000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    monkeypatch.undo()  # back to the default windows
     assert rep == pair_count(alpha, 5000)
     assert peak < 16 * cap, peak
 
 
-def test_pair_count_flag_runs_hold_one_mebibyte():
+def test_pair_count_flag_runs_hold_one_mebibyte(monkeypatch):
     # alpha ~ 31.07: the 2**20-value prime windows below 3e6 (three of them)
-    # have floors spanning about 3.3e7 cells each, which the default cap of
-    # 2**22 would flag in 4 MiB runs.  Beyond the peak of the prime and
+    # have floors spanning about 3.3e7 cells each, which runs of 2**22
+    # cells would flag in 4 MiB buffers.  Beyond the peak of the prime and
     # floor stream itself (consumed without holding a window), the count
     # holds one window's primes and floors, which the stream's peak already
     # covers, plus:
@@ -320,19 +332,18 @@ def test_pair_count_flag_runs_hold_one_mebibyte():
     # - squarefree_flags' hit lists: a few int64 arrays over the 1,192 base
     #   primes below sqrt(alpha*N) and the at most 4,368 hits of their
     #   squares in a run, under 128 KiB.
-    # Cut at the cap, the runs took 4.6 MB beyond the stream's peak here.
+    # Cut at 2**22 cells, the runs took 4.6 MB beyond the stream's peak here.
     alpha = parse_alpha("poly:-30000,0,0,1@31/1,32/1")
     N = 3 * 10 ** 6
     base_primes(math.isqrt(32 * N) + 1)
     sigma_midpoint()
     pair_count(alpha, 10 ** 4)
     k_max = 0
-    for _, fl in counting._prime_floors(alpha, N, DEFAULT_SEGMENT_CAP):
+    for _, fl in counting._prime_floors(alpha, N):
         span = np.searchsorted(fl, fl + counting._RUN_BYTES - 1) - np.arange(fl.size)
         k_max = max(k_max, int(span.max()))
     peaks = []
-    for run in (lambda: collections.deque(counting._prime_floors(alpha, N, DEFAULT_SEGMENT_CAP),
-                                          maxlen=0),
+    for run in (lambda: collections.deque(counting._prime_floors(alpha, N), maxlen=0),
                 lambda: pair_count(alpha, N)):
         tracemalloc.start()
         try:
@@ -343,7 +354,9 @@ def test_pair_count_flag_runs_hold_one_mebibyte():
     stream, peak = peaks
     assert peak <= stream + counting._RUN_BYTES + 16 * k_max + 2 ** 17, (peak, stream, k_max)
     assert rep.prime_count == prime_count(N)
-    assert rep == pair_count(alpha, N, segment_cap=10 ** 5)  # other run edges
+    monkeypatch.setattr(counting, "_PRIME_WINDOW", 10 ** 5)  # other run edges
+    monkeypatch.setattr(counting, "_RUN_BYTES", 10 ** 5)
+    assert rep == pair_count(alpha, N)
 
 
 def _spy(monkeypatch, module, name):
@@ -358,27 +371,28 @@ def _spy(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize("spec, a, b, c, D, N, cap", [
+@pytest.mark.parametrize("spec, a, b, c, D, N, window", [
     ("sqrt:2", 0, 1, 1, 2, 3000, 64),
     ("quad:1,1,2,5", 1, 1, 2, 5, 2000, 5),
     ("sqrt:999999", 0, 1, 1, 999999, 2 * 10 ** 4, 2 ** 12),
     ("sqrt:999999", 0, 1, 1, 999999, 10 ** 4, 2 ** 14),
     ("sqrt:123456789", 0, 1, 1, 123456789, 3000, 2 ** 14),
-    ("sqrt:999999", 0, 1, 1, 999999, 3000, 2 ** 30),
+    ("sqrt:999999", 0, 1, 1, 999999, 3000, 1 << 20),
 ])
-def test_prime_windows_are_cut_into_the_floor_windows(monkeypatch, spec, a, b, c, D, N, cap):
+def test_prime_windows_are_cut_into_the_floor_windows(monkeypatch, spec, a, b, c, D, N, window):
     alpha = _alpha(spec)
     sigma_midpoint()  # its own prime stream runs before the spies
+    monkeypatch.setattr(counting, "_PRIME_WINDOW", window)
+    monkeypatch.setattr(counting, "_RUN_BYTES", window)
     sieved = _spy(monkeypatch, sieves, "sieve_segment")
     flagged = _spy(monkeypatch, counting, "squarefree_flags")
-    pair_count(alpha, N, cap)
+    pair_count(alpha, N)
 
     # the floor windows: the oracle floors of each prime window
-    # [2 + i*W, 2 + (i + 1)*W), W = min(cap, 2**20), cut greedily at the
-    # span S = min(cap, 2**20), the cells of a 1 MiB flag buffer: a run
-    # takes every floor below its first floor + S - 1
-    W = min(cap, 1 << 20)
-    S = min(cap, 1 << 20)
+    # [2 + i*W, 2 + (i + 1)*W), W = _PRIME_WINDOW, cut greedily at the
+    # span S = _RUN_BYTES, the cells of the flag buffer: a run takes every
+    # floor below its first floor + S - 1
+    W = S = window
     scaled = oracles.quad_alpha_bits(a, b, c, D)
     windows = {}
     for p in oracles.primes_to(N):
@@ -393,16 +407,15 @@ def test_prime_windows_are_cut_into_the_floor_windows(monkeypatch, spec, a, b, c
                 runs.append([m])
     assert flagged == [(run[0], run[-1] + 2) for run in runs]
 
-    # the prime windows tile [2, N] at width W, no window exceeds the cap
-    # or a flag run the span, and a large alpha cuts each prime window into
-    # many floor windows
-    assert all(hi - lo <= cap for lo, hi in sieved)
+    # the prime windows tile [2, N] at width W, no flag run exceeds the
+    # span, and a large alpha cuts each prime window into many floor windows
+    assert all(hi - lo <= W for lo, hi in sieved)
     assert all(hi - lo <= S for lo, hi in flagged)
     assert [lo for lo, _ in sieved] == [2] + [hi for _, hi in sieved[:-1]]
     assert sieved[-1][1] == N + 1
     assert all(hi - lo == W for lo, hi in sieved[:-1])
     assert sieved[-1][1] - sieved[-1][0] <= W
-    if alpha.to_float() > 100 and cap < N:
+    if alpha.to_float() > 100 and W < N:
         assert len(sieved) > 1
         assert len(flagged) > 10 * len(sieved)
 
@@ -455,35 +468,40 @@ def decompose_alpha_specs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(spec_bits=decompose_alpha_specs(), N=st.integers(2, 800),
-       cap=st.one_of(st.integers(2, 64), st.integers(2, 2 ** 16)),
+       window=st.one_of(st.integers(2, 64), st.integers(2, 2 ** 16)),
+       run_bytes=st.one_of(st.integers(8, 64), st.integers(8, 2 ** 16)),
        d=st.integers(1, 4), t=st.integers(1, 4), z_frac=st.floats(0.0, 1.0))
-def test_large_alpha_counts_match_brute_force(spec_bits, N, cap, d, t, z_frac):
-    # alpha up to about 1e4, caps from 2 up: each prime window is cut into
-    # many floor windows, or into one floor a window once alpha >= cap; and
-    # alphas below 1/2 start with zero floors, which no count takes
+def test_large_alpha_counts_match_brute_force(spec_bits, N, window, run_bytes, d, t, z_frac):
+    # alpha up to about 1e4, windows and runs from a few cells up: each prime
+    # window is cut into many floor windows, or into one floor a run once
+    # alpha >= the span; and alphas below 1/2 start with zero floors, which
+    # no count takes
     assume(math.gcd(d, t) == 1)
     spec, scaled = spec_bits
     alpha = _alpha(spec)
-    rep = pair_count(alpha, N, cap)
+    z_top = (alpha.to_float() * N) ** (2.0 / 3.0)
+    z = 1.0 + z_frac * (z_top - 1.0)
+    with _windows(window, run_bytes):
+        rep = pair_count(alpha, N)
+        single = single_count(alpha, N)
+        congruence = congruence_pair_count(alpha, N, d, t)
+        dec = decompose(alpha, N, z) if z_top >= 1.0 else None
     assert rep.count == oracles.brute_pair_count(N, scaled)
     assert rep.prime_count == len(oracles.primes_to(N))
-    assert single_count(alpha, N, cap).count == oracles.brute_single_count(N, scaled)
-    assert congruence_pair_count(alpha, N, d, t, cap) == \
-        oracles.brute_congruence_count(N, scaled, d, t)
-    z_top = (alpha.to_float() * N) ** (2.0 / 3.0)
-    if z_top >= 1.0:  # else every floor is 0, and no z is in range
-        z = 1.0 + z_frac * (z_top - 1.0)
-        rep = decompose(alpha, N, z, cap)
-        assert (rep.sigma1, rep.sigma2) == oracles.brute_decompose(N, scaled, z)
+    assert single.count == oracles.brute_single_count(N, scaled)
+    assert congruence == oracles.brute_congruence_count(N, scaled, d, t)
+    if dec is not None:  # else every floor is 0, and no z is in range
+        assert (dec.sigma1, dec.sigma2) == oracles.brute_decompose(N, scaled, z)
 
 
-def test_huge_segment_cap_sizes_no_buffer_to_the_cap(sqrt2):
+def test_huge_span_sizes_no_buffer_to_the_span(monkeypatch, sqrt2):
     # the flag and radical buffers grow to the floor windows met, about
-    # 1.4e4 cells here, never to the 2**30 cells the cap would allow
+    # 1.4e4 cells here, never to the 2**30 bytes a run may hold
     base_primes(math.isqrt(2 * 10 ** 4) + 1)
     sigma_midpoint()
-    for run in (lambda: pair_count(sqrt2, 10 ** 4, segment_cap=2 ** 30),
-                lambda: decompose(sqrt2, 10 ** 4, 10.0, segment_cap=2 ** 30)):
+    monkeypatch.setattr(counting, "_RUN_BYTES", 2 ** 30)
+    for run in (lambda: pair_count(sqrt2, 10 ** 4),
+                lambda: decompose(sqrt2, 10 ** 4, 10.0)):
         tracemalloc.start()
         try:
             run()
@@ -529,34 +547,37 @@ def test_pair_count_reads_every_prime_across_prime_windows(sqrt2):
     assert pair_count(sqrt2, 10 ** 7).prime_count == 664579
 
 
-def test_counts_agree_with_floor_blocks_below_at_and_above_the_prime_window():
-    # for sqrt:2 at any cap of at least 2**20 the prime windows are 2**20
-    # values wide, and the floors of the widest one span `span` cells, about
-    # 1.48e6: caps of 2**20 and span - 1 cut it into two floor windows, while
-    # span, span + 1 and the default cap hold every prime window in one
+def test_counts_agree_with_floor_blocks_below_at_and_above_the_prime_window(monkeypatch):
+    # for sqrt:2 the prime windows are 2**20 values wide, and the floors of
+    # the widest one span `span` cells, about 1.48e6: flag runs of 2**20 and
+    # span - 1 cells cut it into two floor windows, while span, span + 1 and
+    # 2**22 hold every prime window in one
     alpha = parse_alpha("sqrt:2")
     N = 5 * 10 ** 6
     window = counting._PRIME_WINDOW
-    span = max(int(fl[-1]) + 2 - int(fl[0]) for _, fl in counting._prime_floors(alpha, N, window))
+    span = max(int(fl[-1]) + 2 - int(fl[0]) for _, fl in counting._prime_floors(alpha, N))
     results = set()
-    for cap in (window, span - 1, span, span + 1, DEFAULT_SEGMENT_CAP):
+    for cap in (window, span - 1, span, span + 1, 1 << 22):
+        monkeypatch.setattr(counting, "_RUN_BYTES", cap)
         cuts = 0
-        for ps, fl in counting._prime_floors(alpha, N, cap):
-            assert ps[-1] - ps[0] < min(cap, window), cap
+        for ps, fl in counting._prime_floors(alpha, N):
+            assert ps[-1] - ps[0] < window, cap
             runs = list(counting._floor_windows(fl, cap))
             assert all(run[-1] + 2 - run[0] <= cap for run in runs), cap
             cuts += len(runs) - 1
         assert (cuts > 0) == (cap < span), (cap, cuts)
-        rep = pair_count(alpha, N, cap)
-        dec = decompose(alpha, N, N ** 0.3, cap)
+        rep = pair_count(alpha, N)
+        dec = decompose(alpha, N, N ** 0.3)
         results.add((rep.count, rep.prime_count, dec.sigma1, dec.sigma2))
     assert len(results) == 1, results
     (count, pi_n, _, _), = results
-    assert pi_n == prime_count(N) and count == pair_count(alpha, N, 1 << 16).count
+    monkeypatch.setattr(counting, "_PRIME_WINDOW", 1 << 16)
+    monkeypatch.setattr(counting, "_RUN_BYTES", 1 << 16)
+    assert pi_n == prime_count(N) and count == pair_count(alpha, N).count
 
 
 def test_decompose_memory_is_set_by_the_radical_block(golden):
-    # at the default cap a floor window holds about 1.7e6 cells, whose int32
+    # the floors of a prime window span about 1.7e6 cells, whose int32
     # radicals would take 6.8 MB.  Beyond the prime and floor stream itself,
     # decompose holds what one block needs:
     # - the radical buffer, _RUN_BYTES (1 MiB), or 2**18 int32 cells;
@@ -574,12 +595,12 @@ def test_decompose_memory_is_set_by_the_radical_block(golden):
     sigma_midpoint()
     decompose(golden, 10 ** 4, 5.0)
     k_max = 0
-    for _, fl in counting._prime_floors(golden, N, DEFAULT_SEGMENT_CAP):
+    for _, fl in counting._prime_floors(golden, N):
         span = np.searchsorted(fl, fl + counting._RUN_BYTES // 4 - 1) - np.arange(fl.size)
         k_max = max(k_max, int(span.max()))
     block = counting._RUN_BYTES + 28 * k_max + 2048 * 128
     peaks = []
-    for run in (lambda: [None for _ in counting._prime_floors(golden, N, DEFAULT_SEGMENT_CAP)],
+    for run in (lambda: [None for _ in counting._prime_floors(golden, N)],
                 lambda: decompose(golden, N, N ** 0.3)):
         tracemalloc.start()
         try:
@@ -589,7 +610,7 @@ def test_decompose_memory_is_set_by_the_radical_block(golden):
             tracemalloc.stop()
     stream, peak = peaks
     assert peak <= stream + block, (peak, stream, block)
-    assert peak < stream + DEFAULT_SEGMENT_CAP, (peak, stream)
+    assert peak < stream + 2 ** 22, (peak, stream)  # 4 MiB, under the window's 6.8 MB
 
 
 def test_decompose_tally_memory_follows_classes_not_runs(monkeypatch, golden):
@@ -605,10 +626,10 @@ def test_decompose_tally_memory_follows_classes_not_runs(monkeypatch, golden):
     base_primes(math.isqrt(2 * N) + 1)
     decompose(golden, 10 ** 4, 5.0)
     runs = sum(len(list(counting._floor_windows(fl, 64)))
-               for _, fl in counting._prime_floors(golden, N, DEFAULT_SEGMENT_CAP))
+               for _, fl in counting._prime_floors(golden, N))
     assert runs > 2000
     peaks = []
-    for run in (lambda: [None for _ in counting._prime_floors(golden, N, DEFAULT_SEGMENT_CAP)],
+    for run in (lambda: [None for _ in counting._prime_floors(golden, N)],
                 lambda: decompose(golden, N, N ** 0.3)):
         tracemalloc.start()
         try:
@@ -641,8 +662,8 @@ def test_square_divisors_match_brute_force(r):
 @settings(max_examples=80, deadline=None)
 @given(spec_bits=decompose_alpha_specs(), N=st.integers(2, 1500),
        block=st.integers(2, 40),
-       cap=st.one_of(st.integers(2, 64), st.integers(2, 2 ** 16)), data=st.data())
-def test_decompose_across_radical_blocks_matches_brute_force(spec_bits, N, block, cap, data):
+       window=st.one_of(st.integers(2, 64), st.integers(2, 2 ** 16)), data=st.data())
+def test_decompose_across_radical_blocks_matches_brute_force(spec_bits, N, block, window, data):
     # a block of a few cells puts many block edges into every floor window
     spec, scaled = spec_bits
     alpha = _alpha(spec)
@@ -651,8 +672,7 @@ def test_decompose_across_radical_blocks_matches_brute_force(spec_bits, N, block
     z = data.draw(st.one_of(
         st.integers(1, max(1, int(z_top))).map(float),  # on a d*t value
         st.floats(1.0, z_top)), label="z")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counting, "_RUN_BYTES", 4 * block)  # block int32 radicals
-        rep = decompose(alpha, N, z, cap)
+    with _windows(window, 4 * block):  # block int32 radicals
+        rep = decompose(alpha, N, z)
     assert (rep.sigma1, rep.sigma2) == oracles.brute_decompose(N, scaled, z)
     assert rep.total == rep.sigma1 + rep.sigma2
