@@ -199,14 +199,14 @@ def _run_decompose(cfg: ExperimentConfig):
 def _run_expsum(cfg: ExperimentConfig):
     alpha = _need_alpha(cfg)
     if cfg.h is not None:
-        sums = ((n, expsum.exp_sum_primes(alpha, expsum.ExpSumQuery(cfg.h, cfg.d, cfg.t, n),
-                                          cfg.segment_cap)) for n in _need_n(cfg))
+        sums = ((n, expsum.exp_sum_primes(alpha, expsum.ExpSumQuery(cfg.h, cfg.d, cfg.t, n)))
+                for n in _need_n(cfg))
         return "expsum_single", [(n, cfg.h, cfg.d, cfg.t, s.real, s.imag, abs(s))
                                  for n, s in sums]
     rows = []
     for n in _need_n(cfg):
         q = expsum.DyadicQuery(H=apply_rule(cfg.h_rule, n), D=float(cfg.d), T=float(cfg.t), N=n)
-        rep, = expsum.ratio_scan(alpha, [q], DYADIC_EPS, cfg.budget, cfg.segment_cap)
+        rep, = expsum.ratio_scan(alpha, [q], DYADIC_EPS, cfg.budget)
         rows.append((n, q.H, q.D, q.T, rep.lhs, *rep.rhs_terms, rep.rhs, rep.ratio,
                      rep.eps_used))
     return "expsum_dyadic", rows
@@ -254,7 +254,7 @@ def run(cfg: ExperimentConfig) -> int:
         raise ConfigError(f"unknown command {cfg.command!r}")
     if cfg.output_format not in ("csv", "json"):
         raise ConfigError(f"unknown format {cfg.output_format!r}")
-    if cfg.segment_cap < 2 or cfg.budget < 1:
+    if cfg.segment_cap < 1 or cfg.budget < 1:
         raise ConfigError("segment cap and budget must be positive")
     start = time.perf_counter()
     key, rows = _RUNNERS[cfg.command](cfg)
@@ -293,7 +293,7 @@ _FIELDS = {
     "--t": ("t", _parse_modulus_factor, "modulus factor t, 1e3 shorthand ok"),
     "--h": ("h", parse_count, "expsum: the one h to sum at; discrepancy: Erdos-Turan H"),
     "--interval": ("interval", _parse_interval, "a,b with 0 <= a < b <= 1"),
-    "--segment-cap": ("segment_cap", parse_count, "most values held at once (prime window, K)"),
+    "--segment-cap": ("segment_cap", parse_count, "most points (K) held at once"),
     "--budget": ("budget", parse_count, "cap on exponential terms"),
     "--format": ("output_format", str, "csv or json"),
     "--out": ("output_path", str, "output path, - for stdout"),
@@ -309,7 +309,7 @@ OPTIONS = {
     "pairs": _PAIR_OPTIONS,
     "single": _PAIR_OPTIONS,
     "decompose": _PAIR_OPTIONS + ("--z",),
-    "expsum": ("--alpha", "--n", "--H", "--d", "--t", "--h", "--segment-cap", "--budget"),
+    "expsum": ("--alpha", "--n", "--H", "--d", "--t", "--h", "--budget"),
     "discrepancy": ("--alpha", "--n", "--d", "--t", "--h", "--interval", "--segment-cap",
                     "--budget"),
     "fit": _PAIR_OPTIONS,
@@ -371,7 +371,7 @@ def main(argv=None) -> int:
         return 3
     except MemoryError:
         print("cap/budget error: out of memory; a lower --segment-cap bounds the "
-              "prime windows of expsum and the points of discrepancy", file=sys.stderr)
+              "points of discrepancy", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)

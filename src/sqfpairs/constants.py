@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import InvalidRangeError
-from .sieves import DEFAULT_SEGMENT_CAP, iter_prime_segments, sieve_segment
+from .sieves import iter_prime_segments, sieve_segment
 
 _INF = math.inf
 
@@ -170,11 +170,14 @@ def coprime_double_sum(L: int) -> float:
     math.fsum as they come, so only one row is held.  fsum returns the sum
     of its terms exactly rounded, a function of the multiset of terms
     alone, so the order in which they arrive cannot change the result,
-    which is therefore deterministic across platforms.
+    which is therefore deterministic across platforms.  The mu values come
+    from one sieve_segment window, so L above its cap of 2**22 raises
+    WindowTooLargeError; at the double sum's L**2 growth (0.65 s at
+    L = 4000) such an L would take days.
     """
     if L < 1:
         raise InvalidRangeError(f"need L >= 1, got L={L}")
-    mu = sieve_segment(1, L + 1, {"mu"}, segment_cap=max(DEFAULT_SEGMENT_CAP, L)).mu
+    mu = sieve_segment(1, L + 1, {"mu"}).mu
     t = np.flatnonzero(mu) + 1
     w = mu[t - 1] / (t * t)  # mu(t)/t^2 for every t with mu(t) != 0
     rows = ((wd * w[np.gcd(d, t) == 1]).tolist() for d, wd in zip(t.tolist(), w.tolist()))

@@ -5,15 +5,23 @@ carry unspecified absolute constants, so nothing here asserts a bound with an
 invented constant: reports record the lhs/rhs ratio and the test suite
 freezes first-run values as regressions.
 
-Primes are streamed once per call, segment by segment in ascending order,
-and never materialized up to N.  _prime_sums is the one stream loop:
-exp_sum_primes runs it for one (h, m) and a dyadic block for all of its
-(h, d, t) triples at once.  Every (h, m) keeps its own complex sum, added to
-segment by segment through _phase_sum, so the results are deterministic and
-a block's sums equal the per-query sums bit for bit.
+Primes are streamed once per call, in ascending windows of _SUM_WINDOW =
+2**22 values, and never materialized up to N.  _prime_sums is the one stream
+loop: exp_sum_primes runs it for one (h, m) and a dyadic block for all of
+its (h, d, t) triples at once.  Every (h, m) keeps its own complex sum,
+added to window by window through _phase_sum, so the results are
+deterministic and a block's sums equal the per-query sums bit for bit.
+
+The width is fixed because it fixes the bits: _phase_sum restarts its
+chunks at each window, so another width sums the same terms in another
+order.  With windows of 2**20 values, expsum --alpha sqrt:2 --n 5e6 --h 1
+prints the real part as -37.9049033496095, against -37.9049033496094 with
+2**22.  A window costs half a byte a value in odd cells plus its primes,
+so a sum peaks at about 6.5 MiB of traced memory whatever N is (the same
+at N = 5e6 and 2e7).
 
 _phase_sum evaluates phases and e(x) over chunks of _PHASE_CHUNK = 8192
-primes of a segment: _e_sum sums e(x) over a chunk with numpy's pairwise
+primes of a window: _e_sum sums e(x) over a chunk with numpy's pairwise
 summation, and the chunk sums are added in ascending order.  e(x) is a
 table-driven kernel (Tang, ACM TOMS 15, 1989): e(j/K) from a table of
 K + 1 = 4097 entries, built on first use, times a degree-5 polynomial in the
@@ -23,7 +31,7 @@ numpy's complex exp, which cost about 60 ns a term.
 
 The chunks keep every temporary at 64 KiB, under glibc's default mmap
 threshold of 128 KiB, so the temporaries reuse warm heap pages; a whole
-segment's temporaries (0.6 MB each at N = 1e6) would each take a fresh mmap
+window's temporaries (0.6 MB each at N = 1e6) would each take a fresh mmap
 and its page faults.  Both kernels work in place (frac_parts holds at most
 two chunk-sized 8-byte arrays at once, _e_sum six float64 arrays, its input
 included), so a _phase_sum call peaks at about 395 KB of traced memory, all
@@ -66,6 +74,10 @@ _TWO_PI_I = 2j * np.pi
 
 #: Primes per phase chunk in _phase_sum (see the module docstring).
 _PHASE_CHUNK = 1 << 13
+
+#: Values per prime window of the sums; the chunks restart at each window,
+#: so this width fixes the bits of every sum (see the module docstring).
+_SUM_WINDOW = 1 << 22
 
 #: Table size of _e_sum: the table holds e(j/_E_K) for j = 0.._E_K.
 _E_K = 1 << 12
@@ -209,24 +221,24 @@ def _e_sum(x: np.ndarray) -> complex:
 
 
 def _phase_sum(alpha: AlgebraicAlpha, h: int, ps: np.ndarray, m: int) -> complex:
-    """Sum of e(alpha*h*p/m) over the primes of one segment, chunk by chunk."""
+    """Sum of e(alpha*h*p/m) over the primes of one window, chunk by chunk."""
     total = 0j
     for i in range(0, ps.size, _PHASE_CHUNK):
         total += _e_sum(alpha.frac_parts(h, ps[i:i + _PHASE_CHUNK], m))
     return total
 
 
-def _prime_sums(alpha: AlgebraicAlpha, terms, N: int, budget, segment_cap: int) -> list:
+def _prime_sums(alpha: AlgebraicAlpha, terms, N: int, budget) -> list:
     """Sums of e(alpha*h*p/m) over the primes p <= N, one per (h, m) of terms, on one stream.
 
     The work, len(terms) * pi(N), is counted along the stream, and
     BudgetExceededError is raised as soon as it exceeds budget (math.inf
-    for no limit), before the phases of the segment that crossed it are
+    for no limit), before the phases of the window that crossed it are
     evaluated.
     """
     sums = [0j] * len(terms)
     work = 0
-    for ps in iter_prime_segments(2, N + 1, segment_cap):
+    for ps in iter_prime_segments(2, N + 1, _SUM_WINDOW):
         work += len(terms) * int(ps.size)
         if work > budget:
             raise BudgetExceededError(
@@ -238,8 +250,7 @@ def _prime_sums(alpha: AlgebraicAlpha, terms, N: int, budget, segment_cap: int) 
     return sums
 
 
-def exp_sum_primes(alpha: AlgebraicAlpha, q: ExpSumQuery,
-                   segment_cap: int = DEFAULT_SEGMENT_CAP) -> complex:
+def exp_sum_primes(alpha: AlgebraicAlpha, q: ExpSumQuery) -> complex:
     """Sum of e(alpha*h*p/(d^2 t^2)) over primes p <= N.
 
     Each phase is within PHASE_EPS of its true value mod 1, which moves
@@ -254,11 +265,12 @@ def exp_sum_primes(alpha: AlgebraicAlpha, q: ExpSumQuery,
     in all; at most 7 halvings (size n to at most n/2 + 8) lead from 8192
     terms down to such a block, and the reduction may add its first term
     once more.  The chunk sums then go through one addition per later chunk
-    and segment sum, c of them in all.  Each part of a term is at most
+    and window sum, c of them in all, c at most the number of chunks plus
+    the number of windows of 2**22 values.  Each part of a term is at most
     1 + EXP_EPS, so this rounding is under 2**-52 * (32 + c) * pi(N) in
     modulus.
     """
-    return _prime_sums(alpha, [(q.h, _check_query(q))], q.N, math.inf, segment_cap)[0]
+    return _prime_sums(alpha, [(q.h, _check_query(q))], q.N, math.inf)[0]
 
 
 def _check_blocks(q: DyadicQuery) -> None:
@@ -273,8 +285,7 @@ def _dyadic_ends(x: float) -> tuple[int, int]:
 
 
 def dyadic_block_sum(alpha: AlgebraicAlpha, q: DyadicQuery,
-                     budget: int = DEFAULT_BUDGET,
-                     segment_cap: int = DEFAULT_SEGMENT_CAP) -> float:
+                     budget: int = DEFAULT_BUDGET) -> float:
     """Sum of |exp_sum_primes| over all integer (h, d, t) in the dyadic blocks.
 
     One prime stream, _prime_sums, feeds every triple and refuses a run
@@ -295,7 +306,7 @@ def dyadic_block_sum(alpha: AlgebraicAlpha, q: DyadicQuery,
     hs, ds, ts = (range(lo + 1, hi + 1) for lo, hi in ends)
     triples = [(h, _check_query(ExpSumQuery(h, d, t, q.N)))
                for h in hs for d in ds for t in ts]
-    return math.fsum(abs(s) for s in _prime_sums(alpha, triples, q.N, budget, segment_cap))
+    return math.fsum(abs(s) for s in _prime_sums(alpha, triples, q.N, budget))
 
 
 def dyadic_bound_rhs(q: DyadicQuery, eps: float) -> BoundReport:
@@ -318,13 +329,12 @@ def dyadic_bound_rhs(q: DyadicQuery, eps: float) -> BoundReport:
 
 
 def ratio_scan(alpha: AlgebraicAlpha, grid: Sequence[DyadicQuery], eps: float,
-               budget: int = DEFAULT_BUDGET,
-               segment_cap: int = DEFAULT_SEGMENT_CAP) -> list[BoundReport]:
+               budget: int = DEFAULT_BUDGET) -> list[BoundReport]:
     """One BoundReport per dyadic query; ratios are recorded, never asserted."""
     out = []
     for q in grid:
         rep = dyadic_bound_rhs(q, eps)
-        lhs = dyadic_block_sum(alpha, q, budget, segment_cap)
+        lhs = dyadic_block_sum(alpha, q, budget)
         out.append(replace(rep, lhs=lhs, ratio=lhs / rep.rhs))
     return out
 

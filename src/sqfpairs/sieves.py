@@ -30,7 +30,7 @@ struck with one slice each.  Every cell that a larger prime square divides
 then comes from one hit lister, _square_hits, and all of them are cleared
 with one scatter: the multiples of the squares up to the window width are
 listed in one np.repeat pass, and each larger square hits the window at
-most once.  No pattern the size of the segment cap is kept; a caller that
+most once.  No pattern the size of a window is kept; a caller that
 flags many windows passes one buffer of its own as out=, so no window pays
 for a fresh array's page faults.  Every slice strike stores one shared
 read-only 0-d False array, so no slice store converts a Python bool first.
@@ -63,7 +63,8 @@ from .errors import (
     WindowTooLargeError,
 )
 
-#: Largest window a single sieve_segment call accepts (cache-friendly default).
+#: Largest window one sieve_segment or squarefree_flags call accepts, and the
+#: prime stream's default window.
 DEFAULT_SEGMENT_CAP = 1 << 22
 
 #: Hard ceiling on sieved values; keeps int64 intermediates exact.
@@ -123,14 +124,14 @@ def base_primes(limit: int) -> np.ndarray:
     return _base_primes[: int(np.searchsorted(_base_primes, limit, side="right"))]
 
 
-def _check_window(lo: int, hi: int, segment_cap: int) -> None:
+def _check_window(lo: int, hi: int, cap: int = DEFAULT_SEGMENT_CAP) -> None:
     if not (0 <= lo < hi):
         raise InvalidRangeError(f"need 0 <= lo < hi, got [{lo}, {hi})")
     if hi > GLOBAL_MAX:
         raise RangeCapError(f"hi={hi} exceeds global maximum {GLOBAL_MAX}")
-    if hi - lo > segment_cap:
+    if hi - lo > cap:
         raise WindowTooLargeError(
-            f"window of {hi - lo} elements exceeds segment cap {segment_cap}; split it"
+            f"window of {hi - lo} elements exceeds cap {cap}; split it"
         )
 
 
@@ -183,24 +184,19 @@ class SieveSegment:
     _odd: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
-def sieve_segment(
-    lo: int,
-    hi: int,
-    channels,
-    segment_cap: int = DEFAULT_SEGMENT_CAP,
-) -> SieveSegment:
+def sieve_segment(lo: int, hi: int, channels) -> SieveSegment:
     """Sieve the window [lo, hi) for the requested channels.
 
     channels is any iterable drawn from {"mu", "prime", "tau"}.  Deterministic
-    for fixed inputs; raises WindowTooLargeError when the window exceeds
-    segment_cap so that callers split.
+    for fixed inputs; a window of more than DEFAULT_SEGMENT_CAP values raises
+    WindowTooLargeError, so that callers split.
     """
     wanted = frozenset(channels)
     if not wanted:
         raise ConfigError("at least one channel must be requested")
     if not wanted <= CHANNELS:
         raise ConfigError(f"unknown channels {sorted(wanted - CHANNELS)}")
-    _check_window(lo, hi, segment_cap)
+    _check_window(lo, hi)
 
     n = hi - lo
     root = math.isqrt(hi - 1)
@@ -223,7 +219,7 @@ def sieve_segment(
                 sign[sl] = -sign[sl]
                 prod[sl] *= p
         # value 0 is not squarefree, so its garbage sign/prod entries are never read
-        squarefree = squarefree_flags(lo, hi, segment_cap)
+        squarefree = squarefree_flags(lo, hi)
         leftover = (values != prod) & squarefree
         sign[leftover] = -sign[leftover]
         mu = np.where(squarefree, sign, np.int8(0))
@@ -336,12 +332,13 @@ def _square_hits(lo: int, n: int, above: int) -> tuple[np.ndarray, np.ndarray]:
     return cells, primes
 
 
-def squarefree_flags(lo: int, hi: int, segment_cap: int = DEFAULT_SEGMENT_CAP,
-                     out: Optional[np.ndarray] = None) -> np.ndarray:
+def squarefree_flags(lo: int, hi: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Boolean array over [lo, hi): True where the value is squarefree.
 
     The package's one squarefree sieve: the mu channel of sieve_segment
     takes its zeros from here.  Value 0 is not squarefree by convention.
+    A window of more than DEFAULT_SEGMENT_CAP values raises
+    WindowTooLargeError.
 
     out, when given, is a caller-owned buffer reused across windows: a
     contiguous 1-d bool array of at least hi - lo cells.  The flags are
@@ -366,7 +363,7 @@ def squarefree_flags(lo: int, hi: int, segment_cap: int = DEFAULT_SEGMENT_CAP,
     is squarefree, since any square factor p*p of a value below hi has
     p <= sqrt(hi - 1).
     """
-    _check_window(lo, hi, segment_cap)
+    _check_window(lo, hi)
     n = hi - lo
     if out is None:
         flags = np.empty(n, dtype=bool)
@@ -418,39 +415,36 @@ def square_radicals(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
     return rad
 
 
-def iter_prime_segments(
-    lo: int,
-    hi: int,
-    segment_cap: int = DEFAULT_SEGMENT_CAP,
-) -> Iterator[np.ndarray]:
-    """Yield ascending int64 arrays of primes covering [lo, hi) window by window.
+def iter_prime_segments(lo: int, hi: int,
+                        window: int = DEFAULT_SEGMENT_CAP) -> Iterator[np.ndarray]:
+    """Yield ascending int64 arrays of primes covering [lo, hi), window values at a time.
 
     One sieve_segment call per window; its primes are read from the odd
     cells.  Nothing of a window outlives its yield but the yielded array.
     """
     _check_window(lo, hi, GLOBAL_MAX)  # the range checks: hi - lo <= hi <= GLOBAL_MAX
-    if segment_cap < 1:
-        raise ConfigError(f"segment cap must be at least 1, got {segment_cap}")
-    for cur in range(lo, hi, segment_cap):
-        top = min(cur + segment_cap, hi)
-        yield _odd_cell_primes(cur, top, sieve_segment(cur, top, {"prime"}, segment_cap)._odd)
+    if window < 1:
+        raise ConfigError(f"prime window must be at least 1, got {window}")
+    for cur in range(lo, hi, window):
+        top = min(cur + window, hi)
+        yield _odd_cell_primes(cur, top, sieve_segment(cur, top, {"prime"})._odd)
 
 
-def primes_in(lo: int, hi: int, segment_cap: int = DEFAULT_SEGMENT_CAP) -> np.ndarray:
+def primes_in(lo: int, hi: int) -> np.ndarray:
     """Ascending primes in [lo, hi) as an int64 array; windows concatenate cleanly."""
-    parts = [seg for seg in iter_prime_segments(lo, hi, segment_cap) if seg.size]
+    parts = [seg for seg in iter_prime_segments(lo, hi) if seg.size]
     if not parts:
         return np.array([], dtype=np.int64)
     return np.concatenate(parts)
 
 
-def prime_count(N: int, segment_cap: int = DEFAULT_SEGMENT_CAP) -> int:
+def prime_count(N: int) -> int:
     """pi(N) = number of primes <= N."""
     if N < 0:
         raise InvalidRangeError(f"need N >= 0, got {N}")
     if N < 2:
         return 0
-    return sum(int(seg.size) for seg in iter_prime_segments(2, N + 1, segment_cap))
+    return sum(int(seg.size) for seg in iter_prime_segments(2, N + 1))
 
 
 def crt_residue(d: int, t: int) -> int:

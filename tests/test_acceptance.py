@@ -219,6 +219,8 @@ BATTERY = [
     ("expsum_dyadic.csv", ["expsum", "--alpha", "sqrt:2", "--n", "1e3,1e4"]),
     ("expsum_single.csv", ["expsum", "--alpha", "sqrt:2", "--n", "1e4",
                            "--h", "2", "--d", "2", "--t", "3"]),
+    # two prime windows of 2**22 values, whose width fixes the sums' bits
+    ("expsum_windows.csv", ["expsum", "--alpha", "sqrt:2", "--n", "5e6", "--h", "1"]),
     ("discrepancy.csv", ["discrepancy", "--alpha", "sqrt:2", "--n", "1e4",
                          "--d", "2", "--t", "3"]),
     ("erdos_turan.json", ["discrepancy", "--alpha", "sqrt:2", "--n", "1e4",

@@ -320,8 +320,7 @@ def test_count_options_take_decimal_shorthand(tmp_path):
     cases = (
         (("discrepancy", "--alpha", "sqrt:2", "--n", "1e4", "--interval", "0,0.5",
           "--h", "101", "--budget"), "1.01e6", "1010000"),
-        (("expsum", "--alpha", "sqrt:2", "--n", "1e4", "--h", "2", "--segment-cap"), "1e3",
-         "1000"),
+        (("discrepancy", "--alpha", "sqrt:2", "--n", "1e3", "--segment-cap"), "1e3", "1000"),
         (("expsum", "--alpha", "sqrt:2", "--n", "1000", "--d", "2", "--h"), "2e0", "2"),
     )
     for argv, short, plain in cases:
@@ -404,7 +403,7 @@ _STRAY = [(name, flag) for name in COMMANDS for flag in _SAMPLES
 
 @pytest.mark.parametrize("name, flag", _STRAY)
 def test_option_a_command_does_not_read_exits_2(name, flag, capsys, monkeypatch):
-    # each command accepts only the options it reads: 61 (command, option)
+    # each command accepts only the options it reads: 62 (command, option)
     # pairs, each refused by argparse before any work runs
     def no_run(cfg):
         raise AssertionError("run called")
@@ -511,19 +510,28 @@ def test_run_refuses_bad_format_segment_cap_and_budget(tmp_path, capsys):
     assert run_cli("pairs", "--alpha", "sqrt:2", "--n", "100", "--format", "xml",
                    "--out", out) == 2
     assert "unknown format 'xml'" in capsys.readouterr().err
-    for flag, value in (("--segment-cap", "1"), ("--budget", "0")):
-        assert run_cli("expsum", "--alpha", "sqrt:2", "--n", "100", flag, value,
-                       "--out", out) == 2, flag
+    for flag, value in (("--segment-cap", "0"), ("--budget", "0")):
+        assert run_cli("discrepancy", "--alpha", "sqrt:2", "--n", "100", "--interval", "0,0.5",
+                       flag, value, "--out", out) == 2, flag
         assert "segment cap and budget must be positive" in capsys.readouterr().err
 
 
+def test_discrepancy_segment_cap_of_one_admits_one_point(tmp_path):
+    # a cap of K points admits K = 1 at 1 (0 is refused above)
+    out = tmp_path / "x.csv"
+    argv = ("discrepancy", "--alpha", "sqrt:2", "--n", "1", "--out", str(out))
+    assert run_cli(*argv) == 0
+    rows = out.read_bytes()
+    assert run_cli(*argv, "--segment-cap", "1") == 0
+    assert out.read_bytes() == rows
+
+
 def test_out_of_memory_exits_3_naming_segment_cap():
-    # a child process with a 1 GiB address-space limit asks for a prime
-    # window of 4e9 values, whose odd cells alone take 2e9 bytes: the
-    # exponential sum streams its primes in windows of --segment-cap values
-    # (a pair count no longer can be made to ask for that much, since its
-    # flag runs hold 1 MiB whatever the cap); the limit is set in the
-    # child only
+    # a child process with a 1 GiB address-space limit asks for 4e9
+    # discrepancy points, whose int64 values alone take 32e9 bytes:
+    # --segment-cap is the one option that sets how much a command holds
+    # (the counts and the exponential sums fix their own windows); the
+    # limit is set in the child only
     resource = pytest.importorskip("resource")
 
     def limit_memory():
@@ -533,7 +541,7 @@ def test_out_of_memory_exits_3_naming_segment_cap():
                OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from sqfpairs.cli import main; sys.exit(main())",
-         "expsum", "--alpha", "sqrt:2", "--n", "4e9", "--h", "1", "--segment-cap", "4e9"],
+         "discrepancy", "--alpha", "sqrt:2", "--n", "4e9", "--segment-cap", "4e9"],
         env=env, preexec_fn=limit_memory, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 3, proc.stderr[-2000:]
     assert "Traceback" not in proc.stderr

@@ -21,6 +21,7 @@ from sqfpairs import (
     ratio_scan,
     star_discrepancy,
 )
+from sqfpairs import expsum
 from sqfpairs.alpha import _ONE_BELOW_ONE
 from sqfpairs.errors import BudgetExceededError, ConfigError, InvalidRangeError, RangeCapError
 from sqfpairs.expsum import (
@@ -37,7 +38,7 @@ from sqfpairs.expsum import (
     _e_table,
     _phase_sum,
 )
-from sqfpairs.sieves import DEFAULT_SEGMENT_CAP
+from sqfpairs.sieves import DEFAULT_SEGMENT_CAP, base_primes
 
 # Regression fixtures, frozen from the first run of this implementation.
 EXPSUM_1E5_MODULUS = 32.359302544378
@@ -61,10 +62,27 @@ def test_expsum_regression_fixture(sqrt2):
     assert abs(abs(s) - EXPSUM_1E5_MODULUS) < 1e-6
 
 
-def test_expsum_segment_cap_invariance(sqrt2):
+def test_expsum_window_invariance(sqrt2, monkeypatch):
     a = exp_sum_primes(sqrt2, ExpSumQuery(3, 2, 1, 3000))
-    b = exp_sum_primes(sqrt2, ExpSumQuery(3, 2, 1, 3000), segment_cap=256)
+    monkeypatch.setattr(expsum, "_SUM_WINDOW", 256)
+    b = exp_sum_primes(sqrt2, ExpSumQuery(3, 2, 1, 3000))
     assert abs(a - b) < 1e-9
+
+
+def test_exp_sum_memory_does_not_grow_with_n(sqrt2):
+    # the sums stream windows of 2**22 values: the traced peak at N = 2e7
+    # (five windows) stays within 10% of the peak at N = 5e6 (two windows)
+    base_primes(math.isqrt(2 * 10 ** 7))  # grow the shared cache outside the trace
+    peaks = []
+    for N in (5 * 10 ** 6, 2 * 10 ** 7):
+        tracemalloc.start()
+        try:
+            exp_sum_primes(sqrt2, ExpSumQuery(1, 1, 1, N))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 8 * 2 ** 20, peaks
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_phase_periodicity(sqrt2):
@@ -97,18 +115,17 @@ def test_dyadic_budget_enforced(sqrt2):
         dyadic_block_sum(sqrt2, DyadicQuery(4, 2, 2, 10 ** 5), budget=1000)
 
 
-def test_dyadic_budget_counts_exact_work(sqrt2):
+def test_dyadic_budget_counts_exact_work(sqrt2, monkeypatch):
     # 2 triples times pi(1000) = 168 primes, counted over several segments
+    monkeypatch.setattr(expsum, "_SUM_WINDOW", 100)
     q = DyadicQuery(2, 1, 1, 1000)
-    assert dyadic_block_sum(sqrt2, q, budget=336, segment_cap=100) > 0.0
+    assert dyadic_block_sum(sqrt2, q, budget=336) > 0.0
     with pytest.raises(BudgetExceededError):
-        dyadic_block_sum(sqrt2, q, budget=335, segment_cap=100)
+        dyadic_block_sum(sqrt2, q, budget=335)
 
 
 def test_dyadic_budget_refuses_oversized_blocks_up_front(sqrt2, monkeypatch):
     # 2**25 triples: refused from the range sizes, before any triple is built
-    from sqfpairs import expsum
-
     def unreachable(q):
         raise AssertionError(f"triple {q} built before the budget check")
 
@@ -128,7 +145,8 @@ def test_dyadic_sieves_once(sqrt2, monkeypatch):
         return sieve(lo, hi, *args, **kwargs)
 
     monkeypatch.setattr(sieves, "sieve_segment", counted)
-    dyadic_block_sum(sqrt2, DyadicQuery(2, 2, 2, 5000), segment_cap=1024)
+    monkeypatch.setattr(expsum, "_SUM_WINDOW", 1024)
+    dyadic_block_sum(sqrt2, DyadicQuery(2, 2, 2, 5000))
     assert sum(cells) == 5000 - 1
 
 
@@ -382,17 +400,17 @@ def test_phase_sum_within_documented_bound(sqrt2, n):
     assert err <= bound, (err, bound)
 
 
-@pytest.mark.parametrize("cap", [4095, 4096, 4097, 8191, 8192, 8193, DEFAULT_SEGMENT_CAP])
-def test_dyadic_is_fsum_of_per_query_sums_bit_for_bit(sqrt2, cap):
+@pytest.mark.parametrize("window", [4095, 4096, 4097, 8191, 8192, 8193, DEFAULT_SEGMENT_CAP])
+def test_dyadic_is_fsum_of_per_query_sums_bit_for_bit(sqrt2, window, monkeypatch):
     # N = the (k * chunk)-th prime, so pi(N) lands on a chunk multiple
     ps = primes_in(2, 200_000)
+    monkeypatch.setattr(expsum, "_SUM_WINDOW", window)
     for k in (1, 2):
         N = int(ps[k * _PHASE_CHUNK - 1])
         per_query = math.fsum(
-            abs(exp_sum_primes(sqrt2, ExpSumQuery(h, 2, 2, N), segment_cap=cap))
-            for h in (3, 4)
+            abs(exp_sum_primes(sqrt2, ExpSumQuery(h, 2, 2, N))) for h in (3, 4)
         )
-        assert dyadic_block_sum(sqrt2, DyadicQuery(2, 1, 1, N), segment_cap=cap) == per_query
+        assert dyadic_block_sum(sqrt2, DyadicQuery(2, 1, 1, N)) == per_query
 
 
 def test_erdos_turan_budget_refuses_before_any_exp(monkeypatch):

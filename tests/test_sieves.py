@@ -162,8 +162,12 @@ def test_window_errors():
         sieve_segment(5, 5, {"mu"})
     with pytest.raises(InvalidRangeError):
         sieve_segment(-1, 5, {"mu"})
-    with pytest.raises(WindowTooLargeError):
-        sieve_segment(0, 100, {"mu"}, segment_cap=50)
+    # the cap is checked before anything is sieved or allocated
+    for lo in (0, 10 ** 9):
+        with pytest.raises(WindowTooLargeError):
+            sieve_segment(lo, lo + sieves.DEFAULT_SEGMENT_CAP + 1, {"mu"})
+        with pytest.raises(WindowTooLargeError):
+            squarefree_flags(lo, lo + sieves.DEFAULT_SEGMENT_CAP + 1)
     with pytest.raises(ConfigError):
         sieve_segment(0, 10, set())
     with pytest.raises(ConfigError):
@@ -171,11 +175,9 @@ def test_window_errors():
 
 
 def test_prime_stream_rejects_a_cap_below_one():
-    for cap in (0, -5):
+    for window in (0, -5):
         with pytest.raises(ConfigError):
-            next(iter_prime_segments(2, 100, cap))
-        with pytest.raises(ConfigError):
-            prime_count(100, cap)
+            next(iter_prime_segments(2, 100, window))
 
 
 def test_large_offset_segment_self_consistent():
@@ -215,10 +217,14 @@ def test_prime_channel_near_prime_squares(p, end, width):
 @given(lo=st.integers(0, 10 ** 6), width=st.integers(1, 3000),
        cuts=st.lists(st.integers(1, 2999), max_size=6), cap=st.integers(2, 64))
 def test_primes_in_concatenates_at_any_cut(lo, width, cuts, cap):
+    # cut by the caller, and each cut piece cut again into windows of cap values
     hi = lo + width
     bounds = sorted({lo, hi, *(lo + c for c in cuts if c < width)})
-    pieces = np.concatenate([primes_in(a, b, cap) for a, b in zip(bounds, bounds[1:])])
-    assert pieces.tolist() == [n for n in range(lo, hi) if oracles.is_prime(n)]
+    expected = [n for n in range(lo, hi) if oracles.is_prime(n)]
+    pieces = np.concatenate([primes_in(a, b) for a, b in zip(bounds, bounds[1:])])
+    assert pieces.tolist() == expected
+    windows = [ps for a, b in zip(bounds, bounds[1:]) for ps in iter_prime_segments(a, b, cap)]
+    assert np.concatenate(windows).tolist() == expected
 
 
 def test_prime_only_window_allocates_no_int64_array():
