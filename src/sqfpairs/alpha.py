@@ -60,6 +60,19 @@ def _floor_mul_sqrt(y: int, D: int) -> int:
     return s if y > 0 else -s - 1
 
 
+def _int64_ns(ns) -> np.ndarray:
+    """ns as an int64 array, for floors_bulk and frac_parts.
+
+    A non-empty ns of a non-integer dtype raises InvalidRangeError rather
+    than being truncated; an empty list, which numpy reads as float64, gives
+    an empty array.
+    """
+    arr = np.asarray(ns)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise InvalidRangeError(f"n must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 class AlgebraicAlpha:
     """A positive irrational algebraic number with exact floor operations.
 
@@ -262,7 +275,8 @@ class AlgebraicAlpha:
         within 2**-52 + 2**-64 (under 2**-51, 4.4e-16) of the true fractional
         part mod 1: values within that distance of an integer may come out at
         either end of [0, 1), which the exponential e(x), the only consumer,
-        ignores.
+        ignores.  ns must hold integers: a non-empty ns of another dtype raises
+        InvalidRangeError.
 
         Proof sketch, in units of 2**-55.  With A = [alpha*2**128] and
         B = [A*h/m] mod 2**128, beta = B/2**128 sits below {alpha*h/m} by
@@ -284,7 +298,7 @@ class AlgebraicAlpha:
             raise InvalidRangeError(f"need h, m >= 1, got h={h}, m={m}")
         if h > MAX_H:
             raise RangeCapError(f"h={h} exceeds cap {MAX_H}")
-        ns = np.asarray(ns, dtype=np.int64)
+        ns = _int64_ns(ns)
         if ns.size and (ns.min() < 0 or ns.max() > GLOBAL_MAX):
             raise RangeCapError(f"frac_parts needs 0 <= n <= {GLOBAL_MAX}")
         B = (self.scaled_floor_bits(128) * h // m) & ((1 << 128) - 1)
@@ -327,7 +341,8 @@ class AlgebraicAlpha:
         floor(r) is kept only when the fraction fr = r - floor(r) sits safely
         away from 0 and 1; the rare suspects fall back to the exact
         per-element floor_times.  Empty input gives an empty array; a
-        negative n raises InvalidRangeError, as in floor_times.
+        negative n raises InvalidRangeError, as in floor_times, and so does a
+        non-empty ns of a non-integer dtype.
 
         The margin M = fl(256*spacing(R) + 1e-15), R = max r, is one scalar
         for the whole array, and a point is a suspect when
@@ -355,7 +370,7 @@ class AlgebraicAlpha:
         No ulp of widening is needed.  floor(r) stays a float until the
         final cast; floats below 2**53 convert exactly.
         """
-        ns = np.asarray(ns, dtype=np.int64)
+        ns = _int64_ns(ns)
         if ns.size and ns.min() < 0:
             raise InvalidRangeError(f"floors_bulk needs n >= 0, got {ns.min()}")
         r = ns * self.to_float()

@@ -61,9 +61,10 @@ import numpy as np
 
 from . import constants
 from .alpha import AlgebraicAlpha
-from .errors import ConfigError, InvalidRangeError, NotCoprimeError, RangeCapError
+from .errors import ConfigError, InvalidRangeError, RangeCapError
 from .sieves import (
     GLOBAL_MAX,
+    _check_pair,
     base_primes,
     iter_prime_segments,
     square_radicals,
@@ -266,10 +267,7 @@ def congruence_pair_count(alpha: AlgebraicAlpha, N: int, d: int, t: int) -> int:
     the moduli are clamped to 2**53, which keeps them in int64 and the count
     exact.
     """
-    if d < 1 or t < 1:
-        raise InvalidRangeError(f"need d, t >= 1, got d={d}, t={t}")
-    if math.gcd(d, t) != 1:
-        raise NotCoprimeError(f"gcd({d}, {t}) != 1")
+    _check_pair(d, t)
     d2 = min(d * d, 1 << 53)
     t2 = min(t * t, 1 << 53)
     count = 0

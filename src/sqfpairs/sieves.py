@@ -20,8 +20,8 @@ positional is_prime array (with 2 set by hand) only when is_prime is first read.
 prime stream, iter_prime_segments, never reads it: it takes the primes
 straight from the odd cells as first_odd + 2*j, so a streamed window costs
 half a byte a value plus its primes, with no spread and no second nonzero
-pass.  No prime-only window builds the int64 array of its values, which only
-the mu and tau channels read.
+pass.  No prime-only window builds an int64 array: only the mu and tau walk
+below does.
 
 Squarefree flags start from a wheel: a fixed two-period pattern of the
 multiples of 4, 9, 25 and 49 (period 44100, 88 KB) is copied into the
@@ -41,6 +41,17 @@ contributions of 4, 9, 25 and 49 (period 44100, 88 KB, built on first use)
 is copied from the window's phase and doubled in place.  The same hit
 lister gives the multiples of the larger squares, and one vectorised scatter
 multiplies each by its prime.
+
+The mu and tau channels share one walk over the prime powers q = p**k < hi
+of each base prime p, each striking its multiples with one slice.  At k = 1
+a strike flips the sign; every strike turns tau's factor k for p into k + 1
+(tau //= k, then *= k + 1, exact because each multiple of p**k already holds
+the factor k for p, struck by p**(k - 1)) and divides p out of a rest array.
+A power with no multiple in the window ends p's walk, since the higher
+powers' multiples are among its own.  A cell whose rest is still above 1
+keeps one prime above sqrt(hi - 1): its sign flips and its tau doubles.  mu
+takes its zeros from squarefree_flags, the package's one squarefree sieve,
+and tau(0) = 0 is forced.
 
 Convention cells: value 0 carries mu=0, tau=0, not prime, not squarefree;
 value 1 carries mu=1, tau=1, not prime, squarefree.
@@ -135,10 +146,6 @@ def _check_window(lo: int, hi: int, cap: int = DEFAULT_SEGMENT_CAP) -> None:
         )
 
 
-def _first_multiple(lo: int, step: int) -> int:
-    return ((lo + step - 1) // step) * step
-
-
 class _SpreadOnRead:
     """The is_prime field: stored as given, or spread from the odd cells on first read.
 
@@ -190,6 +197,11 @@ def sieve_segment(lo: int, hi: int, channels) -> SieveSegment:
     channels is any iterable drawn from {"mu", "prime", "tau"}.  Deterministic
     for fixed inputs; a window of more than DEFAULT_SEGMENT_CAP values raises
     WindowTooLargeError, so that callers split.
+
+    The prime channel sieves the odd cells alone.  mu and tau come from one
+    walk over the prime powers p**k < hi of the base primes p <= sqrt(hi - 1)
+    (module docstring), so asking for either costs the walk for both; mu's
+    zeros come from squarefree_flags.
     """
     wanted = frozenset(channels)
     if not wanted:
@@ -199,54 +211,39 @@ def sieve_segment(lo: int, hi: int, channels) -> SieveSegment:
     _check_window(lo, hi)
 
     n = hi - lo
-    root = math.isqrt(hi - 1)
-    bps = base_primes(root)
-    if wanted & {"mu", "tau"}:
-        values = np.arange(lo, hi, dtype=np.int64)
-
+    bps = base_primes(math.isqrt(hi - 1))
     mu = odd = tau = None
 
     if "prime" in wanted:
         odd = _odd_prime_cells(lo, hi, bps)
 
-    if "mu" in wanted:
+    if wanted & {"mu", "tau"}:
         sign = np.ones(n, dtype=np.int8)
-        prod = np.ones(n, dtype=np.int64)
-        for p in bps.tolist():
-            start = _first_multiple(lo, p)
-            if start < hi:
-                sl = slice(start - lo, n, p)
-                sign[sl] = -sign[sl]
-                prod[sl] *= p
-        # value 0 is not squarefree, so its garbage sign/prod entries are never read
-        squarefree = squarefree_flags(lo, hi)
-        leftover = (values != prod) & squarefree
-        sign[leftover] = -sign[leftover]
-        mu = np.where(squarefree, sign, np.int8(0))
-
-    if "tau" in wanted:
         tau = np.ones(n, dtype=np.int64)
-        rem = values.copy()
+        rest = np.arange(lo, hi, dtype=np.int64)
         for p in bps.tolist():
-            start = _first_multiple(max(lo, 1), p)  # value 0 is never divided; tau forced below
-            if start >= hi:
-                continue
-            idx = np.arange(start - lo, n, p)
-            r = rem[idx] // p
-            e = np.ones(idx.size, dtype=np.int64)
-            while True:
-                div = r % p == 0
-                if not div.any():
-                    break
-                r[div] //= p
-                e[div] += 1
-            tau[idx] *= e + 1
-            rem[idx] = r
-        tau[rem > 1] *= 2
-        if lo == 0:
+            q, k = p, 1
+            # q = p**k strikes its multiples, which hold the factor k for p; a
+            # power that misses the window leaves the higher ones nothing
+            while q < hi and (start := (-lo) % q) < n:
+                sl = slice(start, n, q)
+                if k == 1:
+                    sign[sl] = -sign[sl]
+                else:
+                    tau[sl] //= k
+                tau[sl] *= k + 1
+                rest[sl] //= p
+                q *= p
+                k += 1
+        leftover = rest > 1  # one prime above sqrt(hi - 1) is left
+        sign[leftover] = -sign[leftover]
+        tau[leftover] *= 2
+        if lo == 0:  # every power struck value 0, so its tau is garbage
             tau[0] = 0
+        if "mu" in wanted:
+            mu = np.where(squarefree_flags(lo, hi), sign, np.int8(0))
 
-    return SieveSegment(lo=lo, hi=hi, mu=mu, tau=tau, _odd=odd)
+    return SieveSegment(lo=lo, hi=hi, mu=mu, tau=tau if "tau" in wanted else None, _odd=odd)
 
 
 def _tile(out: np.ndarray, wheel: np.ndarray, phase: int, period: int) -> None:
@@ -447,6 +444,14 @@ def prime_count(N: int) -> int:
     return sum(int(seg.size) for seg in iter_prime_segments(2, N + 1))
 
 
+def _check_pair(d: int, t: int) -> None:
+    """Refuse a (d, t) pair outside the decomposition: d, t >= 1, gcd(d, t) = 1."""
+    if d < 1 or t < 1:
+        raise InvalidRangeError(f"need d, t >= 1, got d={d}, t={t}")
+    if math.gcd(d, t) != 1:
+        raise NotCoprimeError(f"gcd({d}, {t}) != 1")
+
+
 def crt_residue(d: int, t: int) -> int:
     """The unique q in [0, d^2 t^2 - 1] with q = 0 (mod d^2) and q = -1 (mod t^2).
 
@@ -454,10 +459,7 @@ def crt_residue(d: int, t: int) -> int:
     and q = 0, which keeps the (d, t) = (1, 1) term of the decomposition
     uniform with the rest.
     """
-    if d < 1 or t < 1:
-        raise InvalidRangeError(f"need d, t >= 1, got d={d}, t={t}")
-    if math.gcd(d, t) != 1:
-        raise NotCoprimeError(f"gcd({d}, {t}) != 1")
+    _check_pair(d, t)
     d2 = d * d
     t2 = t * t
     if t2 == 1:

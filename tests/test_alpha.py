@@ -454,6 +454,18 @@ def test_floors_bulk_refuses_negative_n(sqrt2):
             sqrt2.floors_bulk(ns)
 
 
+def test_bulk_floors_and_phases_refuse_non_integer_n(sqrt2):
+    # a float n is refused, not truncated: floors_bulk([1.5, 2.9, 3]) would read [1, 2, 4]
+    for ns in ([1.5, 2.9, 3], [1.5], np.array([2.0]), [True]):
+        with pytest.raises(InvalidRangeError):
+            sqrt2.floors_bulk(ns)
+        with pytest.raises(InvalidRangeError):
+            sqrt2.frac_parts(1, ns, 1)
+    ns = np.arange(1, 50, dtype=np.uint32)
+    assert sqrt2.floors_bulk(ns).tolist() == [sqrt2.floor_times(n) for n in range(1, 50)]
+    assert np.array_equal(sqrt2.frac_parts(3, ns, 7), sqrt2.frac_parts(3, range(1, 50), 7))
+
+
 def test_cubic_poly_root():
     # real root of x^3 - x - 1 in (1, 2)
     alpha = parse_alpha("poly:-1,-1,0,1@1/1,2/1")

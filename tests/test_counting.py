@@ -181,6 +181,9 @@ def test_congruence_count_with_squares_beyond_int64():
 def test_congruence_count_rejects_shared_factor(sqrt2):
     with pytest.raises(NotCoprimeError):
         congruence_pair_count(sqrt2, 100, 2, 4)
+    for d, t in ((0, 3), (3, 0)):
+        with pytest.raises(InvalidRangeError):
+            congruence_pair_count(sqrt2, 100, d, t)
 
 
 def test_decompose_identity_small(sqrt2, golden):

@@ -49,7 +49,8 @@ def test_zero_convention_cell():
 
 def test_mu_and_tau_channels_match_oracles_on_windows_from_0_to_3():
     # every window [lo, lo + w), lo = 0..3, w = 1..200; lo = 0 holds the
-    # value-0 convention cell, which no prime divides in the tau channel
+    # value-0 convention cell, which every prime power strikes in the walk
+    # and whose tau is forced to 0 afterwards
     mu = [oracles.mu(n) for n in range(204)]
     tau = [oracles.tau(n) for n in range(204)]
     for lo in range(4):
@@ -57,6 +58,21 @@ def test_mu_and_tau_channels_match_oracles_on_windows_from_0_to_3():
             seg = sieve_segment(lo, lo + w, {"mu", "tau"})
             assert seg.mu.tolist() == mu[lo:lo + w], (lo, w)
             assert seg.tau.tolist() == tau[lo:lo + w], (lo, w)
+
+
+@pytest.mark.parametrize("p, k", [(2, 33), (3, 20), (7, 11), (101, 5), (997, 3)])
+def test_mu_and_tau_channels_match_oracles_across_high_prime_powers(p, k):
+    # 20 values straddling p**k (1e8 to 1.1e10), where the walk's highest
+    # power of p first strikes a cell and its neighbours keep a large prime
+    lo = p ** k - 10
+    mu = [oracles.mu(n) for n in range(lo, lo + 20)]
+    tau = [oracles.tau(n) for n in range(lo, lo + 20)]
+    for channels in ({"mu"}, {"tau"}, {"mu", "tau", "prime"}):
+        seg = sieve_segment(lo, lo + 20, channels)
+        if "mu" in channels:
+            assert seg.mu.tolist() == mu, channels
+        if "tau" in channels:
+            assert seg.tau.tolist() == tau, channels
 
 
 def test_prime_count_examples():
