@@ -65,12 +65,21 @@ def _int64_ns(ns) -> np.ndarray:
 
     A non-empty ns of a non-integer dtype raises InvalidRangeError rather
     than being truncated; an empty list, which numpy reads as float64, gives
-    an empty array.
+    an empty array.  A uint64 n above 2**63 - 1 raises RangeCapError rather
+    than wrapping to a negative int64.
     """
     arr = np.asarray(ns)
     if arr.size and arr.dtype.kind not in "iu":
         raise InvalidRangeError(f"n must be integers, got dtype {arr.dtype}")
+    if arr.dtype == np.uint64 and int(arr.max(initial=0)) >= 1 << 63:
+        raise RangeCapError(f"n = {arr.max()} exceeds the int64 range")
     return arr.astype(np.int64, copy=False)
+
+
+def check_floor_top(top: float) -> None:
+    """Refuse top = fl(alpha)*N above GLOBAL_MAX: floors up to [alpha*N] leave the sieves' range."""
+    if top > GLOBAL_MAX:
+        raise RangeCapError(f"alpha*N = {top:.6g} exceeds global maximum {GLOBAL_MAX}")
 
 
 class AlgebraicAlpha:
@@ -335,14 +344,16 @@ class AlgebraicAlpha:
             bits *= 2
 
     def floors_bulk(self, ns) -> np.ndarray:
-        """[alpha * n] for an array of n >= 0; exact despite the float fast path.
+        """[alpha * n] for each n >= 0 of ns, in its shape; exact despite the float fast path.
 
         With v = to_float(), which is fl(alpha), and r = fl(n*v), a float
         floor(r) is kept only when the fraction fr = r - floor(r) sits safely
         away from 0 and 1; the rare suspects fall back to the exact
         per-element floor_times.  Empty input gives an empty array; a
         negative n raises InvalidRangeError, as in floor_times, and so does a
-        non-empty ns of a non-integer dtype.
+        non-empty ns of a non-integer dtype.  R = max r above GLOBAL_MAX
+        raises RangeCapError (check_floor_top, the cap the counts put on
+        alpha*N), so every float floor is below 2**53.
 
         The margin M = fl(256*spacing(R) + 1e-15), R = max r, is one scalar
         for the whole array, and a point is a suspect when
@@ -374,7 +385,9 @@ class AlgebraicAlpha:
         if ns.size and ns.min() < 0:
             raise InvalidRangeError(f"floors_bulk needs n >= 0, got {ns.min()}")
         r = ns * self.to_float()
-        margin = 256.0 * np.spacing(r.max(initial=0.0)) + 1e-15
+        top = r.max(initial=0.0)
+        check_floor_top(top)
+        margin = 256.0 * np.spacing(top) + 1e-15
         fl = np.floor(r)
         r -= fl
         r -= 0.5
@@ -382,8 +395,8 @@ class AlgebraicAlpha:
         suspects = np.flatnonzero(r >= 0.5 - margin)
         del r  # freed before the int64 floors are allocated
         floors = fl.astype(np.int64)
-        for i in suspects.tolist():
-            floors[i] = self.floor_times(int(ns[i]))
+        for i in suspects.tolist():  # flat positions: ns may have any shape
+            floors.flat[i] = self.floor_times(int(ns.flat[i]))
         return floors
 
     def __repr__(self) -> str:

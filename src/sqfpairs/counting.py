@@ -13,25 +13,16 @@ zero floors (alpha < 1/2 only), and _floor_windows cuts the rest greedily
 into runs whose floor window [fl[a], fl[b-1] + 2), holding every
 m = [alpha*p] and m + 1 of the run, spans at most span cells, so one sieve
 call covers a run and a large alpha cuts one prime window into many runs.
-Each run is sieved into one buffer per count, and the values at m and m + 1
-are gathered into fresh arrays, so no view of the buffer outlives it.  One
-rule sets the span of every count: a run's buffer holds at most _RUN_BYTES
-(1 MiB, which stays in cache while the small squares strike it), so the span
-is _RUN_BYTES // itemsize cells of the buffer's dtype: 2**20 squarefree
-flags for pair_count and single_count, 2**18 int32 radicals for decompose.
-carlitz_count flags [1, N + 1] in windows of the same 2**20 cells, into one
-buffer of its own.  Memory beyond the prime window is therefore bounded by
-1 MiB a buffer for every alpha.
-
-The one buffer rule: the buffer grows to min(span, floor span of the widest
-prime window met), which holds every run of that window.  Sizing by the
-prime window rather than by the run matters: the runs differ by a few to a
-few hundred cells just below the span, and regrowing a 4 MiB flag buffer by
-that much left it resident after the count (peak RSS rose 2.5 MiB on a pair
-count at alpha near 31, N = 3e7).  A grown buffer is allocated only after
-every reference to the old one is dropped: allocated while the old one
-lives, glibc's malloc can place it above the old one on the heap, and the
-freed old buffer then stays resident (peak RSS rose 4 MiB there).
+Each count allocates one buffer when it starts and sieves every run into
+it, and the values at m and m + 1 are gathered into fresh arrays, so no
+view of the buffer outlives it.  One rule sets the buffer of every count:
+_RUN_BYTES (1 MiB, which stays in cache while the small squares strike it),
+so the span is _RUN_BYTES // itemsize cells of the buffer's dtype: 2**20
+squarefree flags for pair_count and single_count, 2**18 int32 radicals for
+decompose.  carlitz_count flags [1, N + 1] in windows of the same 2**20
+cells, into one buffer of its own.  Memory beyond the prime window is
+therefore 1 MiB a buffer for every alpha and N; a run writes, and so makes
+resident, only its own cells.
 
 Window lifetimes: a prime window's primes, floors and gathered arrays are
 all dropped before the stream sieves the next window, by the stream's
@@ -60,7 +51,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import constants
-from .alpha import AlgebraicAlpha
+from .alpha import AlgebraicAlpha, check_floor_top
 from .errors import ConfigError, InvalidRangeError, RangeCapError
 from .sieves import (
     GLOBAL_MAX,
@@ -135,9 +126,7 @@ def _check_n(alpha: AlgebraicAlpha, N: int) -> None:
     """N >= 2, and floors [alpha*p] for p <= N within the sieves' range."""
     if N < 2:
         raise InvalidRangeError(f"need N >= 2, got N={N}")
-    top = alpha.to_float() * N
-    if top > GLOBAL_MAX:
-        raise RangeCapError(f"alpha*N = {top:.6g} exceeds global maximum {GLOBAL_MAX}")
+    check_floor_top(alpha.to_float() * N)
 
 
 def _prime_floors(alpha: AlgebraicAlpha, N: int):
@@ -177,7 +166,7 @@ def carlitz_count(N: int) -> int:
         raise InvalidRangeError(f"need N >= 1, got N={N}")
     if N + 2 > GLOBAL_MAX:
         raise RangeCapError(f"N + 2 = {N + 2} exceeds global maximum {GLOBAL_MAX}")
-    span = min(_RUN_BYTES, N + 1)  # bool flags, one byte a cell
+    span = _RUN_BYTES  # bool flags, one byte a cell
     buf = np.empty(span, dtype=bool)
     count = 0
     for cur in range(1, N + 1, span - 1):  # windows share their last cell
@@ -194,21 +183,15 @@ def _floor_runs(stream, sieve, dtype):
     item of empty values: 0 is not squarefree and has no radical.  The
     other floors are cut by _floor_windows at the span
     _RUN_BYTES // itemsize, and sieve(lo, hi, out=buf) fills each run's
-    values into the one buffer (module docstring).
+    values into one buffer of that span, allocated once as the count starts.
     """
     span = _RUN_BYTES // np.dtype(dtype).itemsize
-    buf = np.empty(0, dtype=dtype)
+    buf = np.empty(span, dtype=dtype)
     for ps, fls in stream:
         zeros = int(np.searchsorted(fls, 1))  # floors ascend: the zeros are a prefix
         if zeros:
             yield zeros, np.empty(0, dtype=dtype), np.empty(0, dtype=dtype)
-        fls = fls[zeros:]
-        # every run of this prime window fits in its capped floor span
-        size = min(span, int(fls[-1]) + 2 - int(fls[0])) if fls.size else 0
-        if buf.size < size:
-            buf = None  # drop the old buffer first (module docstring)
-            buf = np.empty(size, dtype=dtype)
-        for fl in _floor_windows(fls, span):
+        for fl in _floor_windows(fls[zeros:], span):
             lo = int(fl[0])
             sieve(lo, int(fl[-1]) + 2, out=buf)
             # every index lies in the sieved run, so "clip" only skips the bounds check

@@ -454,6 +454,39 @@ def test_floors_bulk_refuses_negative_n(sqrt2):
             sqrt2.floors_bulk(ns)
 
 
+def test_floors_bulk_refuses_floors_above_the_global_maximum(sqrt2):
+    # the cap that the counts put on alpha*N, fl(alpha)*n <= GLOBAL_MAX:
+    # above it the float floors overflowed int64, and a uint64 2**63 was
+    # cast to a negative n first
+    cube = parse_alpha("poly:-30000,0,0,1@31/1,32/1")
+    cases = [(cube, [2 ** 62]), (parse_alpha("sqrt:123456789"), [2 ** 52]),
+             (sqrt2, np.array([2 ** 63], dtype=np.uint64))]
+    for alpha, ns in cases:
+        with pytest.raises(RangeCapError):
+            alpha.floors_bulk(ns)
+    for alpha in (sqrt2, cube):  # the largest n let through, on both kinds of alpha
+        v = alpha.to_float()
+        n = int(GLOBAL_MAX / v)
+        while v * n > GLOBAL_MAX:
+            n -= 1
+        while v * (n + 1) <= GLOBAL_MAX:
+            n += 1
+        assert alpha.floors_bulk([n]).tolist() == [alpha.floor_times(n)]
+        with pytest.raises(RangeCapError):
+            alpha.floors_bulk([5, n + 1])
+
+
+def test_floors_bulk_keeps_the_shape_of_n(sqrt2, poly_sqrt2):
+    # near 2**50 every point is a suspect, whose exact floor is written at
+    # its flat position; the transpose is a view in Fortran order
+    ns = np.array([[2 ** 50, 2 ** 50 + 1], [3, 4]])
+    for alpha in (sqrt2, poly_sqrt2):
+        for arr in (ns, ns.T):
+            got = alpha.floors_bulk(arr)
+            assert got.shape == arr.shape
+            assert got.tolist() == [[alpha.floor_times(int(n)) for n in row] for row in arr]
+
+
 def test_bulk_floors_and_phases_refuse_non_integer_n(sqrt2):
     # a float n is refused, not truncated: floors_bulk([1.5, 2.9, 3]) would read [1, 2, 4]
     for ns in ([1.5, 2.9, 3], [1.5], np.array([2.0]), [True]):

@@ -497,33 +497,38 @@ def test_large_alpha_counts_match_brute_force(spec_bits, N, window, run_bytes, d
         assert (dec.sigma1, dec.sigma2) == oracles.brute_decompose(N, scaled, z)
 
 
-def test_huge_span_sizes_no_buffer_to_the_span(monkeypatch, sqrt2):
-    # the flag and radical buffers grow to the floor windows met, about
-    # 1.4e4 cells here, never to the 2**30 bytes a run may hold
-    base_primes(math.isqrt(2 * 10 ** 4) + 1)
-    sigma_midpoint()
-    monkeypatch.setattr(counting, "_RUN_BYTES", 2 ** 30)
-    for run in (lambda: pair_count(sqrt2, 10 ** 4),
-                lambda: decompose(sqrt2, 10 ** 4, 10.0)):
-        tracemalloc.start()
-        try:
-            run()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 19, peak
-
-
-def _spy_buffer_sizes(monkeypatch, name):
+def _spy_buffer_sizes(monkeypatch, name, measure=lambda out: out.size):
+    """The measures of the buffers that the counts hand counting.<name>, as a set."""
     sizes = set()
     fn = getattr(counting, name)
 
     def spy(lo, hi, *args, **kwargs):
-        sizes.add((kwargs["out"] if "out" in kwargs else args[-1]).size)
+        sizes.add(measure(kwargs["out"] if "out" in kwargs else args[-1]))
         return fn(lo, hi, *args, **kwargs)
 
     monkeypatch.setattr(counting, name, spy)
     return sizes
+
+
+def test_each_count_allocates_its_run_buffer_once_at_full_size(monkeypatch, sqrt2):
+    # at N = 10**4 the floors span about 1.4e4 cells and carlitz_count's
+    # flags 10**4 + 1, yet each count hands its sieve one buffer of
+    # _RUN_BYTES bytes, allocated as the count starts: a run writes, and so
+    # makes resident, only its own cells
+    N = 10 ** 4
+
+    def buffer(out):
+        return out.nbytes, out.ctypes.data
+
+    flags = _spy_buffer_sizes(monkeypatch, "squarefree_flags", buffer)
+    radicals = _spy_buffer_sizes(monkeypatch, "square_radicals", buffer)
+    for run, seen in ((lambda: pair_count(sqrt2, N), flags),
+                      (lambda: single_count(sqrt2, N), flags),
+                      (lambda: decompose(sqrt2, N, 10.0), radicals),
+                      (lambda: carlitz_count(N), flags)):
+        seen.clear()
+        run()
+        assert [nbytes for nbytes, _ in seen] == [counting._RUN_BYTES], seen
 
 
 @pytest.mark.parametrize("spec, N", [
