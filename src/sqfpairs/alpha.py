@@ -334,12 +334,17 @@ class AlgebraicAlpha:
         A/2**bits and (A + 1)/2**bits (it is irrational).  Int / int division
         rounds correctly and rounding is monotone, so once both ends round to
         the same double, that double is fl(alpha); bits doubles until they do.
+        An alpha whose ends round past the largest double has no fl(alpha):
+        RangeCapError, as for an alpha*N beyond GLOBAL_MAX.
         """
         bits = 64
         while True:
             A = self.scaled_floor_bits(bits)
-            v = A / (1 << bits)
-            if v == (A + 1) / (1 << bits):
+            try:
+                v, w = A / (1 << bits), (A + 1) / (1 << bits)
+            except OverflowError:
+                raise RangeCapError("alpha exceeds the double range (2**1024)") from None
+            if v == w:
                 return v
             bits *= 2
 
@@ -353,7 +358,8 @@ class AlgebraicAlpha:
         negative n raises InvalidRangeError, as in floor_times, and so does a
         non-empty ns of a non-integer dtype.  R = max r above GLOBAL_MAX
         raises RangeCapError (check_floor_top, the cap the counts put on
-        alpha*N), so every float floor is below 2**53.
+        alpha*N), so every float floor is below 2**53; so does an alpha
+        beyond the double range (to_float), whatever ns is.
 
         The margin M = fl(256*spacing(R) + 1e-15), R = max r, is one scalar
         for the whole array, and a point is a suspect when

@@ -3,10 +3,10 @@
 Counts are exact integers throughout; the only floating step is the final
 comparison against the density prediction, so observed convergence can never
 be a rounding artifact.  Every count over primes reads one stream of
-(primes, floors) segments, one per prime window of _PRIME_WINDOW = 2**20
+floors, one int64 array [alpha*p] per prime window of _PRIME_WINDOW = 2**20
 values whatever alpha is (512 KiB of odd cells, which stay in cache while
-the base primes strike them).  The counts fix their own windows: no caller
-sets them.
+the base primes strike them).  No count reads the primes themselves.  The
+counts fix their own windows: no caller sets them.
 
 The sieve-backed counts share one pass, _floor_runs.  It skips a segment's
 zero floors (alpha < 1/2 only), and _floor_windows cuts the rest greedily
@@ -24,13 +24,14 @@ cells, into one buffer of its own.  Memory beyond the prime window is
 therefore 1 MiB a buffer for every alpha and N; a run writes, and so makes
 resident, only its own cells.
 
-Window lifetimes: a prime window's primes, floors and gathered arrays are
-all dropped before the stream sieves the next window, by the stream's
-generator and by _floor_runs alike.  Held across it, they add to that
-window's sieve and floors at the peak: on a 2-core x86-64 VM the peak RSS
-of the benchmark's pairs-sweep, pairs-wide and decompose runs was 0.6 to
-0.85 MiB higher with the gathered arrays held, and that of pairs-sweep and
-decompose a further 0.55 to 0.8 MiB with the primes held.
+Window lifetimes: a prime window's primes go as soon as they are floored,
+and its floors and gathered arrays are dropped before the stream sieves the
+next window, by the stream's generator and by _floor_runs alike.  Held
+across it, they add to that window's sieve and floors at the peak: on a
+2-core x86-64 VM the peak RSS of the benchmark's pairs-sweep, pairs-wide
+and decompose runs was 0.6 to 0.85 MiB higher with the gathered arrays
+held, and that of pairs-sweep and decompose a further 0.55 to 0.8 MiB with
+the primes held.
 
 sieves.square_radicals fills a decompose run by tiling a wheel of the
 radicals of 4, 9, 25 and 49, then scatters the larger squares.  The primes
@@ -130,21 +131,25 @@ def _check_n(alpha: AlgebraicAlpha, N: int) -> None:
 
 
 def _prime_floors(alpha: AlgebraicAlpha, N: int):
-    """(primes, floors) per prime window of the primes p <= N; checks run at the call.
+    """The floors [alpha*p] per prime window of the primes p <= N; checks run at the call.
 
     The prime windows are [2 + i*W, 2 + (i + 1)*W), W = _PRIME_WINDOW,
-    empty ones skipped.
+    empty ones skipped; each yields one ascending int64 array, one floor a prime.
     """
     _check_n(alpha, N)
     return _floor_stream(alpha, iter_prime_segments(2, N + 1, _PRIME_WINDOW))
 
 
 def _floor_stream(alpha: AlgebraicAlpha, segments):
-    """(primes, floors) of each non-empty prime window, released here before the next is sieved."""
+    """The floors of each non-empty prime window, one per prime, dropped before the next is sieved.
+
+    The window's primes go as soon as floors_bulk has read them.
+    """
     for ps in segments:
         if ps.size:
-            yield ps, alpha.floors_bulk(ps)
-        ps = None  # dropped before the next window is sieved (module docstring)
+            fls, ps = alpha.floors_bulk(ps), None
+            yield fls
+        ps = fls = None  # dropped before the next window is sieved (module docstring)
 
 
 def _floor_windows(fl: np.ndarray, span: int):
@@ -178,8 +183,8 @@ def carlitz_count(N: int) -> int:
 def _floor_runs(stream, sieve, dtype):
     """Per run of the floors of stream: (n, values at m, values at m + 1), fresh arrays.
 
-    stream is _prime_floors' (primes, floors) windows; n counts the primes
-    the item covers.  The zero floors of a window (alpha < 1/2 only) make one
+    stream is _prime_floors' floor windows; n counts the floors of the run,
+    one per prime.  The zero floors of a window (alpha < 1/2 only) make one
     item of empty values: 0 is not squarefree and has no radical.  The
     other floors are cut by _floor_windows at the span
     _RUN_BYTES // itemsize, and sieve(lo, hi, out=buf) fills each run's
@@ -187,19 +192,18 @@ def _floor_runs(stream, sieve, dtype):
     """
     span = _RUN_BYTES // np.dtype(dtype).itemsize
     buf = np.empty(span, dtype=dtype)
-    for ps, fls in stream:
+    for fls in stream:
         zeros = int(np.searchsorted(fls, 1))  # floors ascend: the zeros are a prefix
         if zeros:
             yield zeros, np.empty(0, dtype=dtype), np.empty(0, dtype=dtype)
         for fl in _floor_windows(fls[zeros:], span):
             lo = int(fl[0])
             sieve(lo, int(fl[-1]) + 2, out=buf)
-            # every index lies in the sieved run, so "clip" only skips the bounds check
+            # every index lies in the sieved run, so "clip" only skips the bounds
+            # check; buf[1:] reads m + 1 at the same index
             idx = fl - lo
-            at_m = np.take(buf, idx, mode="clip")
-            idx += 1
-            yield fl.size, at_m, np.take(buf, idx, mode="clip")
-        ps = fls = fl = idx = at_m = None  # dropped before the next window (module docstring)
+            yield fl.size, np.take(buf, idx, mode="clip"), np.take(buf[1:], idx, mode="clip")
+        fls = fl = idx = None  # dropped before the next window (module docstring)
 
 
 def _count_over_primes(alpha: AlgebraicAlpha, N: int):
@@ -254,7 +258,7 @@ def congruence_pair_count(alpha: AlgebraicAlpha, N: int, d: int, t: int) -> int:
     d2 = min(d * d, 1 << 53)
     t2 = min(t * t, 1 << 53)
     count = 0
-    for _, fl in _prime_floors(alpha, N):
+    for fl in _prime_floors(alpha, N):
         count += int(np.count_nonzero((fl % d2 == 0) & ((fl + 1) % t2 == 0)))
     return count
 

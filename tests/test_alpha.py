@@ -474,6 +474,11 @@ def test_floors_bulk_refuses_floors_above_the_global_maximum(sqrt2):
         assert alpha.floors_bulk([n]).tolist() == [alpha.floor_times(n)]
         with pytest.raises(RangeCapError):
             alpha.floors_bulk([5, n + 1])
+    # an alpha above 2**1024 has no double, so not even [alpha * 1] is floored
+    beyond = (f"sqrt:{2 ** 2100 + 1}", f"poly:-{2 ** 2100 + 1},0,1@{2 ** 1050}/1,{2 ** 1050 + 1}/1")
+    for spec in beyond:
+        with pytest.raises(RangeCapError):
+            parse_alpha(spec).floors_bulk([1])
 
 
 def test_floors_bulk_keeps_the_shape_of_n(sqrt2, poly_sqrt2):

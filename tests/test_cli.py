@@ -68,6 +68,14 @@ def test_values_beyond_caps_exit_3(tmp_path, capsys):
     assert "alpha*N" in capsys.readouterr().err
     assert run_cli("pairs", "--alpha", "sqrt:2", "--n", "1e999999999",
                    "--out", str(tmp_path / "x.csv")) == 3
+    # alpha = sqrt(2**2100 + 1) is beyond the double range: no fl(alpha) for
+    # the cap on alpha*N, in every count
+    huge = f"sqrt:{2 ** 2100 + 1}"
+    for command in ("pairs", "single", "fit", "decompose"):
+        capsys.readouterr()
+        assert run_cli(command, "--alpha", huge, "--n", "100,200,300",
+                       "--out", str(tmp_path / "x.csv")) == 3, command
+        assert "double range" in capsys.readouterr().err, command
 
 
 class _Sieved(Exception):

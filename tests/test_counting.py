@@ -342,7 +342,7 @@ def test_pair_count_flag_runs_hold_one_mebibyte(monkeypatch):
     sigma_midpoint()
     pair_count(alpha, 10 ** 4)
     k_max = 0
-    for _, fl in counting._prime_floors(alpha, N):
+    for fl in counting._prime_floors(alpha, N):
         span = np.searchsorted(fl, fl + counting._RUN_BYTES - 1) - np.arange(fl.size)
         k_max = max(k_max, int(span.max()))
     peaks = []
@@ -555,6 +555,26 @@ def test_pair_count_reads_every_prime_across_prime_windows(sqrt2):
     assert pair_count(sqrt2, 10 ** 7).prime_count == 664579
 
 
+@pytest.mark.parametrize("spec", ["sqrt:2", "quad:0,1,3,2"])  # sqrt(2)/3 < 1/2 floors p = 2 to 0
+@pytest.mark.parametrize("window", [None, 32])  # 2**20, or 32, which leaves one window empty
+def test_prime_floors_yield_the_floors_of_each_prime_window(monkeypatch, spec, window):
+    # the stream's contract: one 1-d int64 floor array per non-empty prime
+    # window, the floors of that window's primes, pi(N) floors in all
+    alpha = _alpha(spec)
+    N = 10 ** 4
+    if window is not None:
+        monkeypatch.setattr(counting, "_PRIME_WINDOW", window)
+    segments = list(sieves.iter_prime_segments(2, N + 1, counting._PRIME_WINDOW))
+    windows = [ps for ps in segments if ps.size]
+    assert (len(windows) < len(segments)) == (window == 32)
+    items = list(counting._prime_floors(alpha, N))
+    assert len(items) == len(windows)
+    for fl, ps in zip(items, windows):
+        assert isinstance(fl, np.ndarray) and fl.ndim == 1 and fl.dtype == np.int64
+        assert np.array_equal(fl, alpha.floors_bulk(ps))
+    assert sum(fl.size for fl in items) == prime_count(N)
+
+
 def test_counts_agree_with_floor_blocks_below_at_and_above_the_prime_window(monkeypatch):
     # for sqrt:2 the prime windows are 2**20 values wide, and the floors of
     # the widest one span `span` cells, about 1.48e6: flag runs of 2**20 and
@@ -563,12 +583,13 @@ def test_counts_agree_with_floor_blocks_below_at_and_above_the_prime_window(monk
     alpha = parse_alpha("sqrt:2")
     N = 5 * 10 ** 6
     window = counting._PRIME_WINDOW
-    span = max(int(fl[-1]) + 2 - int(fl[0]) for _, fl in counting._prime_floors(alpha, N))
+    span = max(int(fl[-1]) + 2 - int(fl[0]) for fl in counting._prime_floors(alpha, N))
     results = set()
     for cap in (window, span - 1, span, span + 1, 1 << 22):
         monkeypatch.setattr(counting, "_RUN_BYTES", cap)
         cuts = 0
-        for ps, fl in counting._prime_floors(alpha, N):
+        windows = (ps for ps in sieves.iter_prime_segments(2, N + 1, window) if ps.size)
+        for ps, fl in zip(windows, counting._prime_floors(alpha, N), strict=True):
             assert ps[-1] - ps[0] < window, cap
             runs = list(counting._floor_windows(fl, cap))
             assert all(run[-1] + 2 - run[0] <= cap for run in runs), cap
@@ -603,7 +624,7 @@ def test_decompose_memory_is_set_by_the_radical_block(golden):
     sigma_midpoint()
     decompose(golden, 10 ** 4, 5.0)
     k_max = 0
-    for _, fl in counting._prime_floors(golden, N):
+    for fl in counting._prime_floors(golden, N):
         span = np.searchsorted(fl, fl + counting._RUN_BYTES // 4 - 1) - np.arange(fl.size)
         k_max = max(k_max, int(span.max()))
     block = counting._RUN_BYTES + 28 * k_max + 2048 * 128
@@ -634,7 +655,7 @@ def test_decompose_tally_memory_follows_classes_not_runs(monkeypatch, golden):
     base_primes(math.isqrt(2 * N) + 1)
     decompose(golden, 10 ** 4, 5.0)
     runs = sum(len(list(counting._floor_windows(fl, 64)))
-               for _, fl in counting._prime_floors(golden, N))
+               for fl in counting._prime_floors(golden, N))
     assert runs > 2000
     peaks = []
     for run in (lambda: [None for _ in counting._prime_floors(golden, N)],
