@@ -352,40 +352,22 @@ class AlgebraicAlpha:
         """[alpha * n] for each n >= 0 of ns, in its shape; exact despite the float fast path.
 
         With v = to_float(), which is fl(alpha), and r = fl(n*v), a float
-        floor(r) is kept only when the fraction fr = r - floor(r) sits safely
-        away from 0 and 1; the rare suspects fall back to the exact
-        per-element floor_times.  Empty input gives an empty array; a
-        negative n raises InvalidRangeError, as in floor_times, and so does a
-        non-empty ns of a non-integer dtype.  R = max r above GLOBAL_MAX
-        raises RangeCapError (check_floor_top, the cap the counts put on
-        alpha*N), so every float floor is below 2**53; so does an alpha
-        beyond the double range (to_float), whatever ns is.
+        floor(r) is kept only when the fraction fr = r - floor(r) sits more
+        than a margin M away from 0 and 1; the rare suspects, fr <= M or
+        fr >= 1 - M, fall back to the exact per-element floor_times.  Empty
+        input gives an empty array; a negative n raises InvalidRangeError, as
+        in floor_times, and so does a non-empty ns of a non-integer dtype.
+        top = max r above GLOBAL_MAX raises RangeCapError (check_floor_top,
+        the cap the counts put on alpha*N), so every float floor is below
+        2**53; so does an alpha beyond the double range (to_float), whatever
+        ns is.  The result is floor(r) cast at the end, exact below 2**53.
 
-        The margin M = fl(256*spacing(R) + 1e-15), R = max r, is one scalar
-        for the whole array, and a point is a suspect when
-        |fl(fr - 0.5)| >= fl(0.5 - M).  This suspect set contains the one of
-        the per-point margins m = fl(256*spacing(r) + 1e-15) with the test
-        fr < m or fr > fl(1 - m), which keeps the float floor only where
-        it is exact:
-
-        * 0 <= r <= R (n >= 0, v > 0) and spacing is monotone in |r|, so
-          256*spacing(r) + 1e-15 <= 256*spacing(R) + 1e-15 as reals (each
-          256*spacing is an exact power of two), and rounding to nearest is
-          monotone: m <= M.
-        * If M > 1/2, fl(0.5 - M) <= 0 and every point is a suspect.
-          Otherwise the two tests below compare rounded values, so both use
-          that rounding is monotone and symmetric, fl(-x) = -fl(x).
-        * fr < m: fr - 0.5 < M - 0.5 <= 0, so fl(fr - 0.5) <= fl(M - 0.5)
-          = -fl(0.5 - M) <= 0, hence |fl(fr - 0.5)| >= fl(0.5 - M).
-        * fr > fl(1 - m): here 1 - m lies in [1/2, 1), where doubles are
-          multiples of 2**-53, and fr is one of those too (r - floor(r) is
-          exact).  So fr >= fl(1 - m) + 2**-53 > 1 - m >= 1 - M, since
-          fl(1 - m) is within half a unit (2**-54) of 1 - m.  The difference
-          g = fr - 0.5 is exact (Sterbenz: fr in [1/2, 1)) and g > 0.5 - M,
-          so g = fl(g) >= fl(0.5 - M).
-
-        No ulp of widening is needed.  floor(r) stays a float until the
-        final cast; floats below 2**53 convert exactly.
+        Certificate, with 2**(e-1) <= top < 2**e and M = 2**max(e - 45, -50):
+        fl(n), v = fl(alpha) and the product each round by a relative
+        2**-53, so |r - alpha*n| < 4 * 2**-53 * top < 2**(e-51) <= M/64 (a
+        subnormal v leaves every r below 2**-50: all are suspects).  fr is
+        exact (Sterbenz), and M and 1 - M are exact doubles, so a point that
+        is no suspect has r more than M from every integer: floor(r) = [alpha*n].
         """
         ns = _int64_ns(ns)
         if ns.size and ns.min() < 0:
@@ -393,12 +375,10 @@ class AlgebraicAlpha:
         r = ns * self.to_float()
         top = r.max(initial=0.0)
         check_floor_top(top)
-        margin = 256.0 * np.spacing(top) + 1e-15
+        margin = math.ldexp(1.0, max(math.frexp(top)[1] - 45, -50))
         fl = np.floor(r)
         r -= fl
-        r -= 0.5
-        np.abs(r, out=r)
-        suspects = np.flatnonzero(r >= 0.5 - margin)
+        suspects = np.flatnonzero((r <= margin) | (r >= 1.0 - margin))
         del r  # freed before the int64 floors are allocated
         floors = fl.astype(np.int64)
         for i in suspects.tolist():  # flat positions: ns may have any shape

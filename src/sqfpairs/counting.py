@@ -361,6 +361,7 @@ def decompose(alpha: AlgebraicAlpha, N: int, z: float) -> DecompositionReport:
         keys = rad_m.astype(np.int64)
         keys <<= 32
         keys |= rad_m1
+        del rad_m, rad_m1  # freed before np.unique copies the keys
         pending.append(np.unique(keys, return_counts=True))
         pending_size += pending[-1][0].size
         if pending_size > tally[0].size:

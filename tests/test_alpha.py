@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sqfpairs import AlgebraicAlpha, parse_alpha, primes_in
+from sqfpairs import AlgebraicAlpha, counting, parse_alpha, primes_in
 from sqfpairs.alpha import _ONE_BELOW_ONE, MAX_H
 from sqfpairs.errors import (
     AlphaParseError,
@@ -21,7 +21,7 @@ from sqfpairs.errors import (
     RangeCapError,
 )
 from sqfpairs.expsum import MAX_PHASE_MODULUS, PHASE_EPS
-from sqfpairs.sieves import GLOBAL_MAX
+from sqfpairs.sieves import GLOBAL_MAX, iter_prime_segments
 
 
 # ---- parsing ----
@@ -390,6 +390,37 @@ def test_floors_bulk_matches_exact(sqrt2, golden, poly_sqrt2):
             assert got == alpha.floor_times(n), (alpha.spec, n)
 
 
+
+@pytest.mark.parametrize("spec, N", [("poly:-30000,0,0,1@31/1,32/1", 3 * 10 ** 7),
+                                     ("sqrt:2", 10 ** 8)])
+def test_floors_bulk_takes_the_exact_path_at_the_suspects_only(monkeypatch, spec, N):
+    # the last prime windows of the pairs-wide and pairs-sweep counts: the
+    # suspects are the points whose float fraction lies within the margin
+    # 256*spacing(max r) of 0 or 1, and floor_times is called at those n and
+    # at no other (the pairs-wide trace's alpha.exact work comes from them)
+    alpha = parse_alpha(spec)
+    v = alpha.to_float()
+    called = []
+    floor_times = AlgebraicAlpha.floor_times
+
+    def spy(self, n):
+        called.append(n)
+        return floor_times(self, n)
+
+    monkeypatch.setattr(AlgebraicAlpha, "floor_times", spy)
+    window = counting._PRIME_WINDOW
+    found = 0
+    for ps in iter_prime_segments(N - 3 * window, N, window):
+        r = ps * v
+        margin = 256 * np.spacing(r.max())
+        fr = r - np.floor(r)
+        suspects = ps[(fr <= margin) | (fr >= 1 - margin)].tolist()
+        called.clear()
+        alpha.floors_bulk(ps)
+        assert sorted(called) == suspects
+        found += len(suspects)
+    assert found >= 1
+
 def _convergent_denominators(alpha, top):
     # continued fraction of floor(alpha * 2**256) / 2**256, whose partial
     # quotients agree with alpha's while the denominators stay far below 2**128
@@ -433,7 +464,7 @@ def test_floors_bulk_at_convergent_denominators(spec):
                                   "poly:-2,0,1@1/1,2/1", "quad:-3,7,5,11",
                                   "poly:-30000,0,0,1@31/1,32/1"])
 def test_to_float_is_alpha_rounded_to_nearest(spec):
-    # floors_bulk's margin proof takes v = fl(alpha)
+    # floors_bulk's certificate needs |v - alpha| <= 2**-53 * alpha, which v = fl(alpha) meets
     alpha = _alpha(spec)
     assert alpha.to_float() == float(Fraction(alpha.scaled_floor_bits(256), 2 ** 256))
 

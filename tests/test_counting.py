@@ -610,15 +610,18 @@ def test_decompose_memory_is_set_by_the_radical_block(golden):
     # radicals would take 6.8 MB.  Beyond the prime and floor stream itself,
     # decompose holds what one block needs:
     # - the radical buffer, _RUN_BYTES (1 MiB), or 2**18 int32 cells;
-    # - 28 bytes for each prime of the block: its int64 index and key, and
-    #   while the key of m + 1 is gathered, the shifted int64 index and the
-    #   int32 radicals read (np.unique's sorted copy and mask take less);
-    #   a block's floors lie in 2**18 - 1 cells, so it holds at most
-    #   k_max primes, counted below over every such span of the stream;
+    # - 26 bytes for each prime of the block, the most alive at once:
+    #   _floor_runs' int64 index into the buffer (8), held while the block
+    #   is consumed; the two int32 gathers at m and m + 1 (8), freed once
+    #   the int64 key (8) is built from them; then np.unique's sorted copy
+    #   of the key (8) and its two bool masks (2).  A block's floors lie in
+    #   2**18 - 1 cells, so it holds at most k_max primes, counted below
+    #   over every such span of the stream;
     # - the class tally: 1,627 classes at this N, held as sorted int64 keys
     #   and counts; with the run tallies pending a merge (no more entries
-    #   than the tally) and the merge's temporaries, well under 128 bytes a
-    #   class; 2,048 of them are allowed for.
+    #   than the tally), np.unique's per-class outputs and the merge's
+    #   temporaries, well under 128 bytes a class; 2,048 of them are
+    #   allowed for.
     N = 3 * 10 ** 6
     base_primes(math.isqrt(2 * N) + 1)
     sigma_midpoint()
@@ -627,7 +630,7 @@ def test_decompose_memory_is_set_by_the_radical_block(golden):
     for fl in counting._prime_floors(golden, N):
         span = np.searchsorted(fl, fl + counting._RUN_BYTES // 4 - 1) - np.arange(fl.size)
         k_max = max(k_max, int(span.max()))
-    block = counting._RUN_BYTES + 28 * k_max + 2048 * 128
+    block = counting._RUN_BYTES + 26 * k_max + 2048 * 128
     peaks = []
     for run in (lambda: [None for _ in counting._prime_floors(golden, N)],
                 lambda: decompose(golden, N, N ** 0.3)):
