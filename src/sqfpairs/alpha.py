@@ -1,18 +1,15 @@
 """Exact arithmetic for a positive irrational algebraic alpha.
 
 Floors [alpha*n] and scaled floors [alpha*h*n/m] are computed exactly, never
-through bare floating point.  Two representations are supported:
-
-* quadratic -- (a + b*sqrt(D))/c with integer a, b, c and non-square D > 0.
-  Floors reduce to one integer square root: b*w*sqrt(D) is irrational for
-  w >= 1, so floor(b*w*sqrt(D)) = isqrt(b^2 w^2 D) (sign-adjusted) and no
-  integer can sit strictly between a*w + floor(b*w*sqrt(D)) and the true
-  value; hence floor((a*w + b*w*sqrt(D))/(c*m)) = (a*w + floor(b*w*sqrt(D))) // (c*m).
-
-* poly_root -- the unique root of an integer polynomial inside a rational
-  isolating interval, refined by exact bisection.  The interval is cached on
-  the instance and only ever shrinks; refinement is idempotent, so instances
-  are safe to share across threads.
+through bare floating point.  alpha is the unique root of an integer
+polynomial inside a rational isolating interval, refined by exact bisection.
+The interval is cached on the instance and only ever shrinks; refinement is
+idempotent, so instances are safe to share across threads.  A quadratic
+(a + b*sqrt(D))/c is the root of (c*x - a)^2 - b^2*D in an interval of width
+2**-256/c that one integer square root gives.  A floor [alpha*w] bisects it
+only if alpha*w lies within w/(c*2**256) of an integer, so to_float
+(w = 2**64), frac_parts (w = 2**128) and the counts' floors (w < 2**53) in
+practice never do.
 
 Fractional parts are exposed only as floating approximations for exponential
 sum evaluation; counting decisions always go through the exact floors.  The
@@ -49,15 +46,6 @@ _MAX_BITS = 1 << 20
 MAX_H = 1 << 20
 
 _ONE_BELOW_ONE = math.nextafter(1.0, 0.0)
-
-
-def _floor_mul_sqrt(y: int, D: int) -> int:
-    """floor(y * sqrt(D)) for integer y (any sign), D > 0 non-square."""
-    if y == 0:
-        return 0
-    s = math.isqrt(y * y * D)
-    # y*sqrt(D) is irrational, so s < |y|*sqrt(D) < s+1 strictly
-    return s if y > 0 else -s - 1
 
 
 def _int64_ns(ns) -> np.ndarray:
@@ -113,15 +101,14 @@ class AlgebraicAlpha:
             raise AlphaParseError(f"need D > 0, got D={D}")
         if b == 0 or math.isqrt(D) ** 2 == D:
             raise NotIrrationalError(f"{spec} is rational")
-        # b*sqrt(D) is irrational, so a + b*sqrt(D) > 0 iff a + floor(b*sqrt(D)) >= 0
-        if a + _floor_mul_sqrt(b, D) < 0:
-            raise NonPositiveAlphaError("alpha must be positive")
-        self = object.__new__(cls)
-        self.kind = "quadratic"
-        self.spec = spec
-        self._a, self._b, self._c, self._D = a, b, c, D
-        self._scaled_floors = {}
-        return self
+        # |b|*sqrt(D)*2**k is irrational, so it lies strictly between s and
+        # s + 1: alpha is in (L, L + 1)/(c*2**k), and its conjugate root,
+        # 2|b|sqrt(D)/c away, is not; poly_root checks the sign change again
+        k = 256
+        s = math.isqrt(b * b * D << 2 * k)
+        L = (a << k) + s if b > 0 else (a << k) - s - 1
+        return cls.poly_root((a * a - b * b * D, -2 * a * c, c * c),
+                             Fraction(L, c << k), Fraction(L + 1, c << k), spec=spec)
 
     @classmethod
     def poly_root(cls, coeffs: Sequence[int], lo, hi,
@@ -149,7 +136,6 @@ class AlgebraicAlpha:
         if slo == 0 or shi == 0 or slo == shi:
             raise AlphaParseError("polynomial must change sign strictly across (lo, hi)")
         self = object.__new__(cls)
-        self.kind = "poly_root"
         if spec is None:
             cs = ",".join(str(c) for c in coeffs)
             spec = (f"poly:{cs}@{lo.numerator}/{lo.denominator},"
@@ -171,7 +157,7 @@ class AlgebraicAlpha:
             self._bisect_once()
         return self
 
-    # ---- poly_root internals ----
+    # ---- isolating-interval internals ----
 
     @staticmethod
     def _poly_sign_static(coeffs, x: Fraction) -> int:
@@ -221,8 +207,6 @@ class AlgebraicAlpha:
         w = h * n
         if w == 0:
             return 0
-        if self.kind == "quadratic":
-            return (self._a * w + _floor_mul_sqrt(self._b * w, self._D)) // (self._c * m)
         bits = _START_BITS
         while True:
             flo = (self._lo.numerator * w) // (self._lo.denominator * m)
@@ -251,7 +235,7 @@ class AlgebraicAlpha:
     def scaled_floor_bits(self, bits: int) -> int:
         """floor(alpha * 2**bits), cached; alpha lies within 2**-bits above it.
 
-        The exact floor_scaled(2**bits, 1, 1), for both kinds of alpha.
+        The exact floor_scaled(2**bits, 1, 1).
         """
         val = self._scaled_floors.get(bits)
         if val is None:
@@ -328,7 +312,7 @@ class AlgebraicAlpha:
     # ---- conversions ----
 
     def to_float(self) -> float:
-        """fl(alpha): alpha rounded to the nearest double, for both kinds.
+        """fl(alpha): alpha rounded to the nearest double.
 
         With A = scaled_floor_bits(bits), alpha lies strictly between
         A/2**bits and (A + 1)/2**bits (it is irrational).  Int / int division

@@ -4,9 +4,10 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -27,17 +28,14 @@ from sqfpairs.sieves import GLOBAL_MAX, iter_prime_segments
 # ---- parsing ----
 
 def test_parse_sqrt2(sqrt2):
-    assert sqrt2.kind == "quadratic"
     assert sqrt2.spec == "sqrt:2"
 
 
 def test_parse_quad_golden(golden):
-    assert golden.kind == "quadratic"
     assert abs(golden.to_float() - (1 + math.sqrt(5)) / 2) < 1e-15
 
 
 def test_parse_poly(poly_sqrt2):
-    assert poly_sqrt2.kind == "poly_root"
     assert abs(poly_sqrt2.to_float() - math.sqrt(2)) < 1e-15
 
 
@@ -117,6 +115,42 @@ def test_negative_b_quadratic_floor():
     scaled = oracles.quad_alpha_bits(10, -1, 3, 2)
     for n in range(500):
         assert alpha.floor_times(n) == oracles.floor_fixed(scaled, n)
+
+
+@st.composite
+def quad_coefficients(draw):
+    D = draw(st.integers(1, 10 ** 30))
+    b = draw(st.integers(-10 ** 6, 10 ** 6))
+    c = draw(st.integers(1, 10 ** 6)) * draw(st.sampled_from((1, -1)))
+    a = draw(st.integers(-10 ** 6, 10 ** 6))
+    if draw(st.booleans()):  # a near -b*sqrt(D): alpha near 0, of either sign
+        a -= b * math.isqrt(D)
+    return a, b, c, D
+
+
+@settings(max_examples=400, deadline=None)
+@given(abcD=quad_coefficients(), data=st.data())
+def test_quadratic_matches_mpmath(abcD, data):
+    # (a + b*sqrt(D))/c at 120 digits: the constructor refuses exactly the
+    # rational and the non-positive alphas, and the floors below 2**52 and
+    # fl(alpha) (mpf's float() rounds to nearest) equal mpmath's
+    a, b, c, D = abcD
+    with mpmath.workdps(120):
+        exact = (a + b * mpmath.sqrt(D)) / c
+        rational = b == 0 or math.isqrt(D) ** 2 == D
+        refused = rational or exact <= 0
+        event("refused" if refused else "checked")
+        if refused:
+            with pytest.raises(NotIrrationalError if rational else NonPositiveAlphaError):
+                AlgebraicAlpha.quadratic(a, b, c, D)
+            return
+        alpha = AlgebraicAlpha.quadratic(a, b, c, D)
+        top = min(int(mpmath.floor((GLOBAL_MAX - 2) / exact)), 2 ** 62)
+        ns = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=5)) + [top]
+        want = [int(mpmath.floor(exact * n)) for n in ns]
+        assert alpha.to_float() == float(exact)
+    assert [alpha.floor_times(n) for n in ns] == want
+    assert alpha.floors_bulk(ns).tolist() == want
 
 
 def test_floor_monotone_with_beatty_gaps(sqrt2, golden):
@@ -552,6 +586,29 @@ def test_poly_refinement_is_monotone_and_cached():
     assert alpha.floor_times(99991) == first
     assert alpha._hi - alpha._lo == width_after  # cached, no further shrink
     assert Fraction(first, 99991) < alpha._hi
+
+
+@pytest.mark.parametrize("spec", ["sqrt:2", "quad:1,1,2,5", "sqrt:123456789"])
+def test_quadratic_specs_take_no_bisection(monkeypatch, spec):
+    # the quadratic constructor's interval, 2**-256/c wide, resolves the
+    # parse, fl(alpha), the 128-bit phase floor and the floors of 10k primes
+    calls = []
+    bisect_once = AlgebraicAlpha._bisect_once
+
+    def spy(self):
+        calls.append(self.spec)
+        bisect_once(self)
+
+    monkeypatch.setattr(AlgebraicAlpha, "_bisect_once", spy)
+    alpha = parse_alpha(spec)
+    alpha.to_float()
+    alpha.frac_parts(1, range(1, 1000), 36)
+    ps = primes_in(2, 104730)
+    assert ps.size == 10 ** 4
+    alpha.floors_bulk(ps)
+    assert calls == []
+    parse_alpha("poly:-2,0,1@1/1,2/1").to_float()  # the spy sees a poly root's bisections
+    assert calls
 
 
 def test_quadratic_scaled_floor_agrees_with_oracle(sqrt2, golden):

@@ -605,10 +605,11 @@ def test_counts_agree_with_floor_blocks_below_at_and_above_the_prime_window(monk
     assert pi_n == prime_count(N) and count == pair_count(alpha, N).count
 
 
-def test_decompose_memory_is_set_by_the_radical_block(golden):
+def test_decompose_memory_is_set_by_the_radical_block(monkeypatch, golden):
     # the floors of a prime window span about 1.7e6 cells, whose int32
-    # radicals would take 6.8 MB.  Beyond the prime and floor stream itself,
-    # decompose holds what one block needs:
+    # radicals would take 6.8 MB.  The floors are computed before tracing
+    # starts and replayed, so the peak is what decompose holds beyond the
+    # stream, one block's worth:
     # - the radical buffer, _RUN_BYTES (1 MiB), or 2**18 int32 cells;
     # - 26 bytes for each prime of the block, the most alive at once:
     #   _floor_runs' int64 index into the buffer (8), held while the block
@@ -626,23 +627,21 @@ def test_decompose_memory_is_set_by_the_radical_block(golden):
     base_primes(math.isqrt(2 * N) + 1)
     sigma_midpoint()
     decompose(golden, 10 ** 4, 5.0)
+    floors = list(counting._prime_floors(golden, N))
     k_max = 0
-    for fl in counting._prime_floors(golden, N):
+    for fl in floors:
         span = np.searchsorted(fl, fl + counting._RUN_BYTES // 4 - 1) - np.arange(fl.size)
         k_max = max(k_max, int(span.max()))
     block = counting._RUN_BYTES + 26 * k_max + 2048 * 128
-    peaks = []
-    for run in (lambda: [None for _ in counting._prime_floors(golden, N)],
-                lambda: decompose(golden, N, N ** 0.3)):
-        tracemalloc.start()
-        try:
-            run()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    stream, peak = peaks
-    assert peak <= stream + block, (peak, stream, block)
-    assert peak < stream + 2 ** 22, (peak, stream)  # 4 MiB, under the window's 6.8 MB
+    monkeypatch.setattr(counting, "_prime_floors", lambda alpha, n: iter(floors))
+    tracemalloc.start()
+    try:
+        decompose(golden, N, N ** 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= block, (peak, block)
+    assert peak < 2 ** 22, peak  # 4 MiB, under the window's 6.8 MB
 
 
 def test_decompose_tally_memory_follows_classes_not_runs(monkeypatch, golden):
