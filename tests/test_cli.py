@@ -1,4 +1,6 @@
+import cmath
 import dataclasses
+import decimal
 import json
 import os
 import re
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import sqfpairs
-from oracles import read_table
+from oracles import primes_to, read_table
 from sqfpairs import cli, counting, expsum
 from sqfpairs.alpha import AlgebraicAlpha
 from sqfpairs.cli import (
@@ -599,6 +601,35 @@ def test_discrepancy_computes_its_points_once(tmp_path, monkeypatch, mode):
     assert out.read_bytes().split(b"\n", 1)[1] == rows
 
 
+@pytest.mark.parametrize("spec, n, count", [
+    ("sqrt:2", "1e4", 429),
+    ("sqrt:123456789", "1e5", 3107),  # alpha = 11111.1...: floors up to 1.1e9
+    ("quad:0,1,5,2", "1e4", 414),  # sqrt(5)/2 - 1 < 1/2: the first floors are 0
+])
+def test_decompose_total_equals_the_pair_count(tmp_path, spec, n, count):
+    out = tmp_path / "x.json"
+    assert run_cli("decompose", "--alpha", spec, "--n", n, "--z", "pow:0.3",
+                   "--format", "json", "--out", str(out)) == 0
+    total = json.loads(out.read_text())[0]["total"]
+    assert run_cli("pairs", "--alpha", spec, "--n", n, "--format", "json",
+                   "--out", str(out)) == 0
+    assert (total, json.loads(out.read_text())[0]["count"]) == (count, count)
+
+
+def test_expsum_modulus_matches_a_decimal_oracle(tmp_path):
+    # the phase path against the stdlib: x = {3*sqrt(2)*p/36} for the primes
+    # p <= 1e4, from a 50-digit sqrt(2)
+    out = tmp_path / "x.json"
+    assert run_cli("expsum", "--alpha", "sqrt:2", "--n", "1e4", "--h", "3", "--d", "2",
+                   "--t", "3", "--format", "json", "--out", str(out)) == 0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        beta = 3 * decimal.Decimal(2).sqrt() / 36
+        oracle = abs(sum(cmath.exp(2j * cmath.pi * float(beta * p % 1))
+                         for p in primes_to(10 ** 4)))
+    assert abs(json.loads(out.read_text())[0]["modulus"] - oracle) <= 1e-9
+
+
 def test_unwritable_path_exits_4():
     assert run_cli("sigma", "--P", "1000",
                    "--out", "/nonexistent-dir/deep/sigma.csv") == 4
@@ -611,3 +642,10 @@ def test_z_rule_flows_into_decompose(tmp_path):
     rows = read_table(str(out))
     assert rows[0]["z"] == 5
     assert rows[0]["sigma1"] + rows[0]["sigma2"] == rows[0]["total"]
+
+
+def test_decompose_z_above_its_cap_exits_2(sqrt2, tmp_path, capsys):
+    cap = (sqrt2.to_float() * 1000) ** (2.0 / 3.0)
+    assert run_cli("decompose", "--alpha", "sqrt:2", "--n", "1000",
+                   "--z", f"fixed:{cap * (1.0 + 3e-9)!r}", "--out", str(tmp_path / "x.csv")) == 2
+    assert "outside [1, (alpha*N)^(2/3)]" in capsys.readouterr().err

@@ -117,7 +117,8 @@ def test_pair_count_where_float_alpha_cancels():
     expected = sum(int(np.count_nonzero(floors == k)) for k in range(1, top + 1)
                    if oracles.squarefree(k) and oracles.squarefree(k + 1))
     assert expected == 263916
-    assert pair_count(alpha, N).count == expected
+    rep = pair_count(alpha, N)
+    assert (rep.count, rep.prime_count) == (expected, 664579)
 
 
 @pytest.mark.parametrize("spec", ["poly:-2,0,1,0,0@1/1,2/1", "poly:-2,0,1@-1/1,2/1",
@@ -223,10 +224,11 @@ def test_decompose_identity_with_zero_floors():
 
 
 def test_decompose_z_range_checks(sqrt2):
-    with pytest.raises(ConfigError):
-        decompose(sqrt2, 100, 0.5)
-    with pytest.raises(ConfigError):
-        decompose(sqrt2, 100, 10 ** 6)
+    # z may exceed (alpha*N)^(2/3) by a relative 1e-9 of rounding, and no more
+    cap = (sqrt2.to_float() * 100) ** (2.0 / 3.0)
+    for z in (0.5, cap * (1.0 + 3e-9), 10 ** 6):
+        with pytest.raises(ConfigError):
+            decompose(sqrt2, 100, z)
 
 
 def test_error_table_reports_exponent(sqrt2):

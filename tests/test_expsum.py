@@ -100,14 +100,16 @@ def test_dyadic_unit_blocks_contain_single_query(sqrt2):
 
 
 def test_dyadic_matches_per_query_sum(sqrt2):
-    q = DyadicQuery(2, 1, 1, 1000)
-    total = dyadic_block_sum(sqrt2, q)
-    manual = math.fsum(
-        abs(exp_sum_primes(sqrt2, ExpSumQuery(h, 2, 2, 1000)))
-        for h in (3, 4)
-    )
-    # blocks: h in (2,4] -> {3,4}; d,t in (1,2] -> {2}
-    assert abs(total - manual) < 1e-8
+    # blocks: h in (H, 2H], where 2H = 5 ends the block at H = 2.5; d, t in
+    # (1, 2] -> {2}
+    for H, hs in ((2, (3, 4)), (2.5, (3, 4, 5))):
+        assert expsum._dyadic_ends(H) == (2, 2 * H)
+        total = dyadic_block_sum(sqrt2, DyadicQuery(H, 1, 1, 1000))
+        manual = math.fsum(
+            abs(exp_sum_primes(sqrt2, ExpSumQuery(h, 2, 2, 1000)))
+            for h in hs
+        )
+        assert abs(total - manual) < 1e-8, H
 
 
 def test_dyadic_budget_enforced(sqrt2):
@@ -125,13 +127,18 @@ def test_dyadic_budget_counts_exact_work(sqrt2, monkeypatch):
 
 
 def test_dyadic_budget_refuses_oversized_blocks_up_front(sqrt2, monkeypatch):
-    # 2**25 triples: refused from the range sizes, before any triple is built
-    def unreachable(q):
-        raise AssertionError(f"triple {q} built before the budget check")
+    # 2**25 triples, and 4 triples against a budget of 3 (within twice the
+    # budget): refused from the range sizes, before any triple is built or
+    # any prime sieved
+    def unreachable(*args):
+        raise AssertionError(f"{args} reached before the budget check")
 
     monkeypatch.setattr(expsum, "_check_query", unreachable)
-    with pytest.raises(BudgetExceededError):
-        dyadic_block_sum(sqrt2, DyadicQuery(2 ** 19, 8, 8, 10 ** 4))
+    monkeypatch.setattr(expsum, "iter_prime_segments", unreachable)
+    for q, budget in ((DyadicQuery(2 ** 19, 8, 8, 10 ** 4), 10 ** 6),
+                      (DyadicQuery(4, 1, 1, 10 ** 4), 3)):
+        with pytest.raises(BudgetExceededError):
+            dyadic_block_sum(sqrt2, q, budget)
 
 
 def test_dyadic_sieves_once(sqrt2, monkeypatch):

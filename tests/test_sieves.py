@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -555,6 +555,9 @@ def _square_hit_windows(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(window=_square_hit_windows(), above=st.sampled_from([0, 7, 59, 100]))
+# n = 3800 = 61**2 + 79 from lo = 5 * 61**2: 61 = isqrt(n) hits twice, at
+# cells 0 and 3721, so its square takes the dense branch
+@example(window=(5 * 61 ** 2, 3800), above=59)
 def test_square_hits_match_brute_force_property(window, above):
     lo, n = window
     cells, primes = sieves._square_hits(lo, n, above)
