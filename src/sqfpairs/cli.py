@@ -87,7 +87,7 @@ def parse_count(token: str) -> int:
         raise ConfigError(f"bad number {token!r}") from None
     if not value.is_finite():
         raise ConfigError(f"bad number {token!r}")
-    if value.adjusted() >= _MAX_COUNT_DIGITS:
+    if value and value.adjusted() >= _MAX_COUNT_DIGITS:  # 0e30 is zero, not 31 digits
         raise RangeCapError(f"{token!r} has more than {_MAX_COUNT_DIGITS} digits")
     if value != value.to_integral_value():
         raise ConfigError(f"{token!r} is not an integer")
@@ -268,9 +268,12 @@ def run(cfg: ExperimentConfig) -> int:
 def _parse_modulus_factor(token: str) -> int:
     """--d or --t through parse_count, whose digit limit also keeps float(d) finite."""
     try:
-        return parse_count(token)
+        value = parse_count(token)
     except RangeCapError:
         raise RangeCapError(f"--d and --t must be at most {_MAX_COUNT_DIGITS} digits long") from None
+    if value < 1:
+        raise ConfigError(f"--d and --t must be at least 1, got {token!r}")
+    return value
 
 
 def _parse_interval(text: str) -> tuple:

@@ -15,13 +15,13 @@ a fixed two-period pattern of the odd multiples of 3, 5, 7, 11 and 13
 place, and those five primes are set back where they lie in the window.
 Each base prime p >= 17 then strikes every p-th cell from its first odd
 multiple >= max(p*p, lo), the starts computed in one array expression; 1 is
-cleared.  The segment keeps these odd cells and spreads them into the
-positional is_prime array (with 2 set by hand) only when is_prime is first read.  The
-prime stream, iter_prime_segments, never reads it: it takes the primes
-straight from the odd cells as first_odd + 2*j, so a streamed window costs
-half a byte a value plus its primes, with no spread and no second nonzero
-pass.  No prime-only window builds an int64 array: only the mu and tau walk
-below does.
+cleared.  The segment stores only these odd cells; its is_prime is a cached
+property that spreads them into the positional bool array (with 2 set by
+hand) on first read.  The prime stream, iter_prime_segments, never reads
+it: it takes the primes straight from the odd cells as first_odd + 2*j, so
+a streamed window costs half a byte a value plus its primes, with no spread
+and no second nonzero pass.  No prime-only window builds an int64 array:
+only the mu and tau walk below does.
 
 Squarefree flags start from a wheel: a fixed two-period pattern of the
 multiples of 4, 9, 25 and 49 (period 44100, 88 KB) is copied into the
@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -146,49 +146,32 @@ def _check_window(lo: int, hi: int, cap: int = DEFAULT_SEGMENT_CAP) -> None:
         )
 
 
-class _SpreadOnRead:
-    """The is_prime field: stored as given, or spread from the odd cells on first read.
-
-    A data descriptor, so the dataclass __init__ stores through __set__ and
-    its default (None, read on the class) stays the field default.  The
-    spread is idempotent, so two readers racing on it store equal arrays.
-    """
-
-    def __set_name__(self, owner, name):
-        self._slot = "_" + name
-
-    def __get__(self, seg, owner=None):
-        if seg is None:
-            return None
-        flags = seg.__dict__[self._slot]
-        if flags is None and seg._odd is not None:
-            flags = np.zeros(seg.hi - seg.lo, dtype=bool)
-            flags[(seg.lo | 1) - seg.lo:: 2] = seg._odd
-            if seg.lo <= 2 < seg.hi:
-                flags[2 - seg.lo] = True
-            seg.__dict__[self._slot] = flags
-        return flags
-
-    def __set__(self, seg, value):
-        seg.__dict__[self._slot] = value
-
-
 @dataclass(frozen=True)
 class SieveSegment:
     """Per-element arithmetic data for the half-open window [lo, hi).
 
     Channels not requested are None.  Arrays are positional: index i holds
-    data for the value lo + i.  A prime segment keeps its odd cells (cell j
-    for the value (lo | 1) + 2j) and builds is_prime from them when it is
-    first read.
+    data for the value lo + i.  A prime segment stores only its odd cells
+    (_odd, cell j for the value (lo | 1) + 2j); is_prime is a cached property
+    that spreads them into a bool array on first read, and is None without
+    the prime channel.
     """
 
     lo: int
     hi: int
-    mu: Optional[np.ndarray] = None                # int8 in {-1, 0, 1}
-    is_prime: Optional[np.ndarray] = _SpreadOnRead()  # bool
-    tau: Optional[np.ndarray] = None               # int64 divisor counts
+    mu: Optional[np.ndarray] = None    # int8 in {-1, 0, 1}
+    tau: Optional[np.ndarray] = None   # int64 divisor counts
     _odd: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def is_prime(self) -> Optional[np.ndarray]:  # bool
+        if self._odd is None:
+            return None
+        flags = np.zeros(self.hi - self.lo, dtype=bool)
+        flags[(self.lo | 1) - self.lo:: 2] = self._odd
+        if self.lo <= 2 < self.hi:
+            flags[2 - self.lo] = True
+        return flags
 
 
 def sieve_segment(lo: int, hi: int, channels) -> SieveSegment:

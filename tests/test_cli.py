@@ -80,6 +80,33 @@ def test_values_beyond_caps_exit_3(tmp_path, capsys):
         assert "double range" in capsys.readouterr().err, command
 
 
+def test_zero_with_a_large_exponent_is_zero_not_too_many_digits(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    for zero in ("0e30", "0e999999999", "0.0e31"):
+        assert run_cli("pairs", "--alpha", "sqrt:2", "--n", zero, "--out", out) == 2, zero
+        assert "need N >= 2" in capsys.readouterr().err, zero
+    assert run_cli("discrepancy", "--alpha", "sqrt:2", "--n", "100", "--interval", "0,0.5",
+                   "--budget", "0e40", "--out", out) == 2
+    assert "must be positive" in capsys.readouterr().err
+    assert run_cli("pairs", "--alpha", "sqrt:2", "--n", "1e30", "--out", out) == 3
+    assert "more than 30 digits" in capsys.readouterr().err
+
+
+def test_modulus_factors_below_one_exit_2_naming_the_option(capsys, monkeypatch):
+    def no_run(cfg):
+        raise AssertionError("run called")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    base = ("--alpha", "sqrt:2", "--n", "1000")
+    for command, mode in (("discrepancy", ()), ("discrepancy", ("--interval", "0,0.5")),
+                          ("expsum", ()), ("expsum", ("--h", "1"))):
+        for flag in ("--d", "--t"):
+            for value in ("0", "-3"):
+                argv = (command, *base, *mode, flag, value)
+                assert run_cli(*argv) == 2, argv
+                assert "--d and --t must be at least 1" in capsys.readouterr().err, argv
+
+
 class _Sieved(Exception):
     pass
 

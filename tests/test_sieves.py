@@ -11,7 +11,9 @@ import oracles
 from sqfpairs import (SieveSegment, crt_residue, prime_count, primes_in, sieve_segment,
                       squarefree_flags)
 from sqfpairs import sieves
-from sqfpairs.counting import _RUN_BYTES
+from sqfpairs.alpha import parse_alpha
+from sqfpairs.counting import _RUN_BYTES, decompose, pair_count
+from sqfpairs.expsum import ExpSumQuery, exp_sum_primes
 from sqfpairs.sieves import _WHEEL_PERIOD, base_primes, iter_prime_segments, square_radicals
 from sqfpairs.errors import (
     ConfigError,
@@ -294,10 +296,27 @@ def test_prime_segment_spreads_is_prime_on_read():
     seg = sieve_segment(0, 12, {"prime"})
     assert seg.is_prime.tolist() == [n in (2, 3, 5, 7, 11) for n in range(12)]
     assert seg.is_prime is seg.is_prime  # spread once, then kept
-    given_flags = np.array([False, True])
-    assert SieveSegment(2, 4, is_prime=given_flags).is_prime is given_flags
+    for lo in (0, 1, 2, 3, 10 ** 6 + 1):
+        seg = sieve_segment(lo, lo + 50, {"prime"})
+        assert seg.is_prime.tolist() == [oracles.is_prime(n) for n in range(lo, lo + 50)], lo
+        assert seg.is_prime is seg.is_prime, lo
     assert SieveSegment(2, 4).is_prime is None
     assert sieve_segment(2, 4, {"mu"}).is_prime is None
+
+
+def test_prime_consumers_never_spread_is_prime(monkeypatch):
+    # the stream and the counts built on it take their primes from the odd cells
+    def spread(seg):
+        raise AssertionError("is_prime was spread")
+
+    monkeypatch.setattr(SieveSegment, "is_prime", property(spread))
+    alpha = parse_alpha("sqrt:2")
+    assert prime_count(10 ** 6) == 78498
+    assert sum(ps.size for ps in iter_prime_segments(0, 10 ** 5, 1 << 12)) == 9592
+    report = pair_count(alpha, 10 ** 5)
+    assert report.prime_count == 9592
+    assert decompose(alpha, 10 ** 5, 10.0).total == report.count
+    exp_sum_primes(alpha, ExpSumQuery(1, 1, 1, 10 ** 5))
 
 
 def test_prime_stream_memory_stays_under_one_and_a_half_bytes_a_cell():

@@ -3,10 +3,12 @@
 Each step of .github/workflows/tests.yml runs one line, so that a check
 lives in tests/ or perfbench/, where it can be run and read, not in shell
 inside the YAML; and one bench job runs every workload of BENCHMARK.json,
-traced and untraced.
+traced and untraced.  The numpy-floor job installs the oldest numpy that
+pyproject.toml accepts.
 """
 
 import json
+import re
 from pathlib import Path
 
 import yaml
@@ -38,3 +40,11 @@ def test_one_bench_job_runs_every_workload_traced_and_untraced():
     runs = _bench_runs(jobs["bench"])
     assert [run.split("--trace ")[1] for run in runs] == ["1", "0"]
     assert all("--workload ${{ matrix.workload }} --seed ${{ matrix.seed }}" in run for run in runs)
+
+
+def test_numpy_floor_job_pins_the_declared_floor():
+    # a regex, not tomllib, which Python 3.10 lacks
+    floor, = re.findall(r'"numpy>=(\d+\.\d+)"', (ROOT / "pyproject.toml").read_text())
+    installs = [step["run"] for step in _jobs()["numpy-floor"]["steps"]
+                if step.get("run", "").startswith("pip install")]
+    assert len(installs) == 1 and f'"numpy=={floor}.*"' in installs[0], installs
