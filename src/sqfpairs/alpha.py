@@ -2,14 +2,17 @@
 
 Floors [alpha*n] and scaled floors [alpha*h*n/m] are computed exactly, never
 through bare floating point.  alpha is the unique root of an integer
-polynomial inside a rational isolating interval, refined by exact bisection.
-The interval is cached on the instance and only ever shrinks; refinement is
-idempotent, so instances are safe to share across threads.  A quadratic
-(a + b*sqrt(D))/c is the root of (c*x - a)^2 - b^2*D in an interval of width
-2**-256/c that one integer square root gives.  A floor [alpha*w] bisects it
-only if alpha*w lies within w/(c*2**256) of an integer, so to_float
-(w = 2**64), frac_parts (w = 2**128) and the counts' floors (w < 2**53) in
-practice never do.
+polynomial inside a rational isolating interval.  There is one refinement
+rule: each question (is the grid step passed, is the interval positive, do
+the floors at both ends agree, do both ends round to one double) bisects the
+interval exactly until its answer is the same at both ends.  The interval is
+cached on the instance and only ever shrinks; refinement is idempotent, so
+instances are safe to share across threads.  A quadratic (a + b*sqrt(D))/c is
+the root of (c*x - a)^2 - b^2*D in an interval of width 2**-256/c that one
+integer square root gives.  A floor [alpha*w] bisects it only if alpha*w lies
+within w/(c*2**256) of an integer, and to_float only if alpha lies within
+2**-256/c of a point halfway between two doubles, so frac_parts (w = 2**128),
+the counts' floors (w < 2**53) and to_float in practice never do.
 
 Fractional parts are exposed only as floating approximations for exponential
 sum evaluation; counting decisions always go through the exact floors.  The
@@ -35,9 +38,6 @@ from .errors import (
     RangeCapError,
 )
 from .sieves import GLOBAL_MAX
-
-#: Refinement starts here and doubles per round.
-_START_BITS = 128
 
 #: Hard cap on working precision; hitting it means the representation is broken.
 _MAX_BITS = 1 << 20
@@ -147,14 +147,13 @@ class AlgebraicAlpha:
         self._bits = 0
         self._scaled_floors = {}
         ck = abs(coeffs[-1])
-        self._refine_below(Fraction(1, ck))
+        self._refine_until(lambda lo, hi: (hi - lo) * ck < 1)
         grid = Fraction(math.floor(self._lo * ck) + 1, ck)
         if grid < self._hi and cls._poly_sign_static(coeffs, grid) == 0:
             raise NotIrrationalError(f"rational root {grid} inside the interval")
-        while self._lo < 0:
-            if self._hi <= 0:
-                raise NonPositiveAlphaError("alpha must be positive")
-            self._bisect_once()
+        self._refine_until(lambda lo, hi: lo >= 0 or hi <= 0)
+        if self._hi <= 0:
+            raise NonPositiveAlphaError("alpha must be positive")
         return self
 
     # ---- isolating-interval internals ----
@@ -188,8 +187,9 @@ class AlgebraicAlpha:
             self._hi = mid
         self._bits += 1
 
-    def _refine_below(self, width: Fraction) -> None:
-        while self._hi - self._lo >= width:
+    def _refine_until(self, decided) -> None:
+        """Bisect until decided(lo, hi) holds: the one refinement rule."""
+        while not decided(self._lo, self._hi):
             self._bisect_once()
 
     # ---- exact floors ----
@@ -199,22 +199,23 @@ class AlgebraicAlpha:
         return self.floor_scaled(1, n, 1)
 
     def floor_scaled(self, h: int, n: int, m: int) -> int:
-        """[alpha * h * n / m] exactly; h >= 1, n >= 0, m >= 1."""
+        """[alpha * h * n / m] exactly; h >= 1, n >= 0, m >= 1.
+
+        The interval is bisected until the floors of lo*w/m and hi*w/m agree,
+        w = h*n.  For w > 0, alpha*w/m is irrational and strictly inside, so
+        they come to agree; for w = 0 both are 0 at once.
+        """
         if h < 1 or m < 1 or n < 0:
             raise InvalidRangeError(
                 f"need h >= 1, m >= 1, n >= 0; got h={h}, n={n}, m={m}"
             )
         w = h * n
-        if w == 0:
-            return 0
-        bits = _START_BITS
-        while True:
-            flo = (self._lo.numerator * w) // (self._lo.denominator * m)
-            fhi = (self._hi.numerator * w) // (self._hi.denominator * m)
-            if flo == fhi:
-                return flo
-            self._refine_below(Fraction(1, 1 << bits))
-            bits *= 2
+
+        def floor(x: Fraction) -> int:
+            return (x.numerator * w) // (x.denominator * m)
+
+        self._refine_until(lambda lo, hi: floor(lo) == floor(hi))
+        return floor(self._lo)
 
     def frac_in_window(self, n: int, m: int, q: int) -> bool:
         """Exact test of q/m < {alpha*n/m} < (q+1)/m.
@@ -235,7 +236,9 @@ class AlgebraicAlpha:
     def scaled_floor_bits(self, bits: int) -> int:
         """floor(alpha * 2**bits), cached; alpha lies within 2**-bits above it.
 
-        The exact floor_scaled(2**bits, 1, 1).
+        The exact floor_scaled(2**bits, 1, 1), whose refinement stops once
+        the floors at both ends of the interval agree; frac_parts reads it at
+        128 bits and frac_part_approx at the bits its eps needs.
         """
         val = self._scaled_floors.get(bits)
         if val is None:
@@ -314,23 +317,18 @@ class AlgebraicAlpha:
     def to_float(self) -> float:
         """fl(alpha): alpha rounded to the nearest double.
 
-        With A = scaled_floor_bits(bits), alpha lies strictly between
-        A/2**bits and (A + 1)/2**bits (it is irrational).  Int / int division
-        rounds correctly and rounding is monotone, so once both ends round to
-        the same double, that double is fl(alpha); bits doubles until they do.
-        An alpha whose ends round past the largest double has no fl(alpha):
-        RangeCapError, as for an alpha*N beyond GLOBAL_MAX.
+        alpha lies strictly inside the isolating interval (lo, hi), which is
+        bisected until float(lo) == float(hi).  float of a fraction is the
+        correctly rounded int / int division, and rounding is monotone, so the
+        common double is fl(alpha).  An alpha whose ends round past the
+        largest double has no fl(alpha): RangeCapError, as for an alpha*N
+        beyond GLOBAL_MAX.
         """
-        bits = 64
-        while True:
-            A = self.scaled_floor_bits(bits)
-            try:
-                v, w = A / (1 << bits), (A + 1) / (1 << bits)
-            except OverflowError:
-                raise RangeCapError("alpha exceeds the double range (2**1024)") from None
-            if v == w:
-                return v
-            bits *= 2
+        try:
+            self._refine_until(lambda lo, hi: float(lo) == float(hi))
+            return float(self._lo)
+        except OverflowError:
+            raise RangeCapError("alpha exceeds the double range (2**1024)") from None
 
     def floors_bulk(self, ns) -> np.ndarray:
         """[alpha * n] for each n >= 0 of ns, in its shape; exact despite the float fast path.

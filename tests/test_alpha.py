@@ -611,6 +611,40 @@ def test_quadratic_specs_take_no_bisection(monkeypatch, spec):
     assert calls
 
 
+@pytest.fixture
+def bisections(monkeypatch):
+    """The specs of every _bisect_once call from here on, one entry a call."""
+    calls = []
+    bisect_once = AlgebraicAlpha._bisect_once
+
+    def spy(self):
+        calls.append(self.spec)
+        bisect_once(self)
+
+    monkeypatch.setattr(AlgebraicAlpha, "_bisect_once", spy)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["poly:-2,0,1@1/1,2/1", "poly:-30000,0,0,1@31/1,32/1",
+                                  "poly:-30250,0,0,1@31/1,32/1", "poly:-30500,0,0,1@31/1,32/1",
+                                  "poly:-30750,0,0,1@31/1,32/1"])
+def test_to_float_bisects_until_both_ends_round_alike(bisections, spec):
+    # a width-1 interval near 1.4 or 31 rounds to one double after about
+    # 53 halvings; a fixed 64-bit (or wider) floor first would take 64 or more
+    v = parse_alpha(spec).to_float()
+    assert len(bisections) <= 64, len(bisections)
+    assert v == float(Fraction(parse_alpha(spec).scaled_floor_bits(256), 2 ** 256))
+
+
+def test_floor_bisects_only_until_the_floors_agree(bisections):
+    # sqrt(2)*10**6 = 1414213.56... lies 0.44 from the nearest integer, so
+    # about 21 halvings of the parsed interval settle its floor, not 128
+    alpha = parse_alpha("poly:-2,0,1@1/1,2/1")
+    parsed = len(bisections)
+    assert alpha.floor_times(10 ** 6) == math.isqrt(2 * 10 ** 12)
+    assert len(bisections) - parsed <= 32, len(bisections) - parsed
+
+
 def test_quadratic_scaled_floor_agrees_with_oracle(sqrt2, golden):
     assert sqrt2.scaled_floor_bits(256) == oracles.SQRT2_SCALED
     assert golden.scaled_floor_bits(256) == oracles.GOLDEN_SCALED

@@ -107,6 +107,24 @@ def test_modulus_factors_below_one_exit_2_naming_the_option(capsys, monkeypatch)
                 assert "--d and --t must be at least 1" in capsys.readouterr().err, argv
 
 
+def test_negative_scientific_values_need_an_equals_sign(capsys, monkeypatch):
+    # argparse reads a separate "-1e3" as an option, not a negative number,
+    # and names the option left without its value; attached with "=" the
+    # value reaches the option's own check
+    def no_run(cfg):
+        raise AssertionError("run called")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    for argv, flag in ((("expsum", "--alpha", "sqrt:2", "--n", "100", "--t", "-1e3"), "--t"),
+                       (("pairs", "--alpha", "sqrt:2", "--n", "-1e3"), "--n")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2, argv
+        assert f"argument {flag}" in capsys.readouterr().err, argv
+    assert run_cli("expsum", "--alpha", "sqrt:2", "--n", "100", "--t=-1e3") == 2
+    assert "--d and --t must be at least 1" in capsys.readouterr().err
+
+
 class _Sieved(Exception):
     pass
 

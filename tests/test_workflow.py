@@ -3,8 +3,9 @@
 Each step of .github/workflows/tests.yml runs one line, so that a check
 lives in tests/ or perfbench/, where it can be run and read, not in shell
 inside the YAML; and one bench job runs every workload of BENCHMARK.json,
-traced and untraced.  The numpy-floor job installs the oldest numpy that
-pyproject.toml accepts.
+traced and untraced.  The tier1 job's lowest Python is the floor of
+pyproject.toml's requires-python, and the numpy-floor job installs the
+oldest numpy that pyproject.toml accepts.
 """
 
 import json
@@ -48,3 +49,12 @@ def test_numpy_floor_job_pins_the_declared_floor():
     installs = [step["run"] for step in _jobs()["numpy-floor"]["steps"]
                 if step.get("run", "").startswith("pip install")]
     assert len(installs) == 1 and f'"numpy=={floor}.*"' in installs[0], installs
+
+
+def test_tier1_tests_the_declared_python_floor():
+    # the lowest matrix entry is the floor of requires-python, so code that
+    # needs a newer Python fails in CI, not on a user's machine
+    floor, = re.findall(r'requires-python = ">=(\d+\.\d+)"', (ROOT / "pyproject.toml").read_text())
+    versions = _jobs()["tier1"]["strategy"]["matrix"]["python-version"]
+    lowest = min(versions, key=lambda v: tuple(map(int, str(v).split("."))))
+    assert str(lowest) == floor, versions
