@@ -55,7 +55,8 @@ _MAX_COUNT_DIGITS = 30
 
 @dataclass
 class ExperimentConfig:
-    """One experiment; the only copy of each option's default, except h's."""
+    """One experiment; the only copy of each option's default, except h's and
+    P's (counting.SIGMA_PRODUCT_LIMIT, the truncation of the predictions' sigma)."""
 
     command: str
     alpha_spec: str = ""
@@ -66,7 +67,7 @@ class ExperimentConfig:
     output_path: str = "-"
     segment_cap: int = DEFAULT_SEGMENT_CAP
     budget: int = expsum.DEFAULT_BUDGET
-    P: int = 10 ** 6
+    P: int = counting.SIGMA_PRODUCT_LIMIT
     d: int = 1
     t: int = 1
     #: None selects expsum's dyadic mode, and discrepancy --interval then
@@ -155,18 +156,6 @@ def emit_table(rows, output_format: str, path: str, columns, one_object: bool = 
 
 # ---- command implementations: each returns its COLUMNS key and its rows ----
 
-def _need_alpha(cfg: ExperimentConfig):
-    if not cfg.alpha_spec:
-        raise ConfigError(f"{cfg.command} requires --alpha")
-    return parse_alpha(cfg.alpha_spec)
-
-
-def _need_n(cfg: ExperimentConfig) -> tuple:
-    if not cfg.n_values:
-        raise ConfigError(f"{cfg.command} requires --n")
-    return cfg.n_values
-
-
 def _run_sigma(cfg: ExperimentConfig):
     enc = constants.sigma_enclosure(cfg.P)
     return "sigma", [(enc.lo, enc.hi, enc.width(), enc.midpoint())]
@@ -174,7 +163,7 @@ def _run_sigma(cfg: ExperimentConfig):
 
 def _run_carlitz(cfg: ExperimentConfig):
     smid = counting.sigma_midpoint()
-    counts = ((n, counting.carlitz_count(n)) for n in _need_n(cfg))
+    counts = ((n, counting.carlitz_count(n)) for n in cfg.n_values)
     return "carlitz", [(n, c, c / n, smid, abs(c / n - smid)) for n, c in counts]
 
 
@@ -184,27 +173,31 @@ def _report_row(rep: counting.PairCountReport) -> tuple:
 
 
 def _run_count(cfg: ExperimentConfig):
-    """pairs or single: one report row per N."""
-    alpha = _need_alpha(cfg)
+    """pairs or single: one report row per N, every N checked before the first count."""
+    alpha = parse_alpha(cfg.alpha_spec)
+    for n in cfg.n_values:
+        counting._check_n(alpha, n)
     count = counting.pair_count if cfg.command == "pairs" else counting.single_count
-    return cfg.command, [_report_row(count(alpha, n)) for n in _need_n(cfg)]
+    return cfg.command, [_report_row(count(alpha, n)) for n in cfg.n_values]
 
 
 def _run_decompose(cfg: ExperimentConfig):
-    alpha = _need_alpha(cfg)
-    reps = (counting.decompose(alpha, n, apply_rule(cfg.z_rule, n)) for n in _need_n(cfg))
+    alpha = parse_alpha(cfg.alpha_spec)
+    for n in cfg.n_values:  # every N before the first count; z is checked per N
+        counting._check_n(alpha, n)
+    reps = (counting.decompose(alpha, n, apply_rule(cfg.z_rule, n)) for n in cfg.n_values)
     return "decompose", [(r.N, r.z, r.sigma1, r.sigma2, r.total) for r in reps]
 
 
 def _run_expsum(cfg: ExperimentConfig):
-    alpha = _need_alpha(cfg)
+    alpha = parse_alpha(cfg.alpha_spec)
     if cfg.h is not None:
         sums = ((n, expsum.exp_sum_primes(alpha, expsum.ExpSumQuery(cfg.h, cfg.d, cfg.t, n)))
-                for n in _need_n(cfg))
+                for n in cfg.n_values)
         return "expsum_single", [(n, cfg.h, cfg.d, cfg.t, s.real, s.imag, abs(s))
                                  for n, s in sums]
     rows = []
-    for n in _need_n(cfg):
+    for n in cfg.n_values:
         q = expsum.DyadicQuery(H=apply_rule(cfg.h_rule, n), D=float(cfg.d), T=float(cfg.t), N=n)
         rep, = expsum.ratio_scan(alpha, [q], DYADIC_EPS, cfg.budget)
         rows.append((n, q.H, q.D, q.T, rep.lhs, *rep.rhs_terms, rep.rhs, rep.ratio,
@@ -213,9 +206,9 @@ def _run_expsum(cfg: ExperimentConfig):
 
 
 def _run_discrepancy(cfg: ExperimentConfig):
-    alpha = _need_alpha(cfg)
+    alpha = parse_alpha(cfg.alpha_spec)
     m = (cfg.d * cfg.t) ** 2
-    ks = _need_n(cfg)
+    ks = cfg.n_values
     H = cfg.h if cfg.h is not None else 100
     for k in ks:  # every K is checked before the first point is computed
         expsum.check_point_count(k, cfg.segment_cap)
@@ -231,8 +224,7 @@ def _run_discrepancy(cfg: ExperimentConfig):
 
 
 def _run_fit(cfg: ExperimentConfig):
-    alpha = _need_alpha(cfg)
-    table = counting.error_table(alpha, _need_n(cfg))
+    table = counting.error_table(parse_alpha(cfg.alpha_spec), cfg.n_values)
     return "fit", [_report_row(r) + (table.fitted_exponent,) for r in table.reports]
 
 
@@ -249,11 +241,10 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> int:
-    """Execute one experiment; returns the process exit status."""
-    if cfg.command not in _RUNNERS:
-        raise ConfigError(f"unknown command {cfg.command!r}")
-    if cfg.output_format not in ("csv", "json"):
-        raise ConfigError(f"unknown format {cfg.output_format!r}")
+    """Execute one experiment; returns the process exit status.
+
+    The parser has already checked the command, --format and the presence of
+    --alpha and --n."""
     if cfg.segment_cap < 1 or cfg.budget < 1:
         raise ConfigError("segment cap and budget must be positive")
     start = time.perf_counter()
@@ -302,10 +293,11 @@ _FIELDS = {
     "--out": ("output_path", str, "output path, - for stdout"),
 }
 
+#: Required by every command that reads them.
 _PAIR_OPTIONS = ("--alpha", "--n")
 
 #: The options each command reads besides --format and --out; any other
-#: option is an argparse error (exit 2).
+#: option, or one of _PAIR_OPTIONS left out, is an argparse error (exit 2).
 OPTIONS = {
     "sigma": ("--P",),
     "carlitz": ("--n",),
@@ -326,7 +318,8 @@ _OUTPUT = ("--format", "--out")
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per command with only its own options, spelled in full
     (--h must not abbreviate --help), and no defaults: an option left out is
-    absent from the namespace."""
+    absent from the namespace.  --alpha and --n are required, --format takes
+    csv or json; argparse refuses anything else with exit 2 before any work."""
     parser = argparse.ArgumentParser(
         prog="sqfpairs",
         description="Desk-verification experiments for consecutive squarefree "
@@ -337,7 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, argument_default=argparse.SUPPRESS, allow_abbrev=False)
         for flag in OPTIONS[name] + _OUTPUT:
             field, _, help_text = _FIELDS[flag]
-            cmd.add_argument(flag, dest=field, metavar=flag[2:].upper(), help=help_text)
+            cmd.add_argument(flag, dest=field, metavar=flag[2:].upper(), help=help_text,
+                             required=flag in _PAIR_OPTIONS,
+                             choices=("csv", "json") if flag == "--format" else None)
     return parser
 
 

@@ -28,6 +28,7 @@ from sqfpairs import (
     sigma_partial_product,
     single_count,
 )
+from sqfpairs.cli import COLUMNS, COMMANDS
 from sqfpairs.cli import main as cli_main
 from sqfpairs.counting import basel_midpoint, sigma_midpoint
 
@@ -203,6 +204,8 @@ def test_criterion_10_dyadic_bound_ratio_scan():
                    f"fixtures; max ratio={worst:.6f}")
 
 
+#: The argvs whose outputs criterion 11 reruns and CI's outputs-vs-base job
+#: diffs against the base commit; every command and mode has one.
 BATTERY = [
     ("sigma.json", ["sigma", "--P", "1e6", "--format", "json"]),
     ("sigma.csv", ["sigma", "--P", "1e4"]),
@@ -254,3 +257,19 @@ def test_criterion_11_byte_identical_reruns(tmp_path):
     ok = digests[0] == digests[1]
     report(11, ok, f"{len(BATTERY)} experiment files byte-identical across "
                    "repeated runs")
+
+
+def _columns_key(argv):
+    """The COLUMNS key of a battery argv, from its command and mode."""
+    command = argv[0]
+    if command == "expsum":
+        return "expsum_single" if "--h" in argv else "expsum_dyadic"
+    if command == "discrepancy":
+        return "discrepancy_et" if "--interval" in argv else "discrepancy"
+    return command
+
+
+def test_battery_covers_every_command_and_mode():
+    # a new command or mode fails here until the byte-identity gate runs it
+    assert {argv[0] for _, argv in BATTERY} >= set(COMMANDS)
+    assert {_columns_key(argv) for _, argv in BATTERY} >= set(COLUMNS)

@@ -178,6 +178,19 @@ def test_fit_refuses_every_n_before_any_count(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("name", ["pairs", "single", "decompose"])
+def test_counts_refuse_every_n_before_any_count(name, tmp_path, capsys, monkeypatch):
+    # N = 1e16 puts alpha*N past 2**52; the count up to 1e3 before it must not run
+    def no_count(*args):
+        raise AssertionError("counted")
+
+    monkeypatch.setattr(counting, "_count_over_primes", no_count)
+    monkeypatch.setattr(counting, "decompose", no_count)
+    assert run_cli(name, "--alpha", "sqrt:2", "--n", "1e3,1e16",
+                   "--out", str(tmp_path / "x.csv")) == 3
+    assert "alpha*N" in capsys.readouterr().err
+
+
 def test_rules():
     assert apply_rule("pow:0.5", 100) == 10.0
     assert apply_rule("fixed:7", 12345) == 7.0
@@ -205,6 +218,15 @@ def test_sigma_json_object(tmp_path):
     assert list(obj.keys()) == ["lo", "hi", "width", "midpoint"]
     assert obj["lo"] <= obj["midpoint"] <= obj["hi"]
     assert obj["width"] == pytest.approx(obj["hi"] - obj["lo"], rel=1e-12)
+
+
+def test_sigma_by_default_prints_the_midpoint_the_predictions_use(tmp_path):
+    # sigma without --P truncates where counting.SIGMA_PRODUCT_LIMIT does
+    sigma, carlitz = tmp_path / "sigma.json", tmp_path / "carlitz.json"
+    assert run_cli("sigma", "--format", "json", "--out", str(sigma)) == 0
+    assert run_cli("carlitz", "--n", "100", "--format", "json", "--out", str(carlitz)) == 0
+    midpoint = json.loads(sigma.read_text())["midpoint"]
+    assert midpoint == json.loads(carlitz.read_text())[0]["sigma_mid"]
 
 
 def test_every_command_emits_parseable_output(tmp_path):
@@ -330,8 +352,11 @@ def test_bad_n_list_exits_2(tmp_path):
                    "--out", str(tmp_path / "x.csv")) == 2
 
 
-def test_missing_alpha_exits_2(tmp_path):
-    assert run_cli("pairs", "--n", "100", "--out", str(tmp_path / "x.csv")) == 2
+def test_missing_alpha_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("pairs", "--n", "100", "--out", str(tmp_path / "x.csv"))
+    assert exc.value.code == 2
+    assert "the following arguments are required: --alpha" in capsys.readouterr().err
 
 
 def test_budget_violation_exits_3(tmp_path):
@@ -420,8 +445,12 @@ def test_package_and_cli_modules_run_as_main():
         expected = expected or proc.stdout
         assert proc.stdout == expected
     proc = _run_module("sqfpairs", "pairs", "--n", "1e4")
-    assert proc.returncode == 2 and "requires --alpha" in proc.stderr
+    assert proc.returncode == 2
+    assert "the following arguments are required: --alpha" in proc.stderr
 
+
+#: The options that every command reading them requires.
+_REQUIRED = ("--alpha", "--n")
 
 #: One valid value per option, the ExperimentConfig field it sets and its parse.
 _SAMPLES = {
@@ -442,13 +471,17 @@ _SAMPLES = {
 
 
 def test_every_command_parses_to_the_default_config():
+    # given only its required options, a command's config is the default but for them
     parser = build_parser()
     for name in COMMANDS:
-        default = ExperimentConfig(command=name)
-        assert config_from_args(parser.parse_args([name])) == default
+        required = [flag for flag in OPTIONS[name] if flag in _REQUIRED]
+        argv = [name] + [a for flag in required for a in (flag, _SAMPLES[flag][0])]
+        default = dataclasses.replace(ExperimentConfig(command=name), **{
+            _SAMPLES[flag][1]: _SAMPLES[flag][2] for flag in required})
+        assert config_from_args(parser.parse_args(argv)) == default
         for flag in OPTIONS[name] + cli._OUTPUT:
             text, field, value = _SAMPLES[flag]
-            cfg = config_from_args(parser.parse_args([name, flag, text]))
+            cfg = config_from_args(parser.parse_args(argv + [flag, text]))
             assert cfg == dataclasses.replace(default, **{field: value}), (name, flag)
 
 
@@ -491,6 +524,58 @@ def test_option_a_mode_does_not_read_exits_2(name, mode, other, flag, capsys, mo
     assert f"does not read {flag}" in capsys.readouterr().err
     with pytest.raises(AssertionError, match="run called"):
         main(base + list(other) + [flag, _SAMPLES[flag][0]])
+
+
+def _usage(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    return " ".join(capsys.readouterr().out.split("\n\n")[0].split())
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_help_shows_alpha_and_n_as_required(name, capsys):
+    usage = _usage(name, capsys)
+    for flag in OPTIONS[name] + cli._OUTPUT:
+        shown = f"{flag} {flag[2:].upper()}"
+        if flag in _REQUIRED:
+            assert f" {shown} " in usage and f"[{shown}]" not in usage, (name, usage)
+        else:
+            assert f"[{shown}]" in usage, (name, flag, usage)
+    for flag in _REQUIRED:
+        assert (f"{flag} " in usage) == (flag in OPTIONS[name]), (name, usage)
+    if name == "pairs":
+        assert usage == ("usage: sqfpairs pairs [-h] --alpha ALPHA --n N "
+                         "[--format FORMAT] [--out OUT]")
+
+
+@pytest.mark.parametrize("name, refused", [
+    (name, flag) for name in COMMANDS for flag in OPTIONS[name] + ("--format",)
+    if flag in _REQUIRED + ("--format",)])
+def test_parser_refuses_a_missing_option_or_format_before_run(name, refused, capsys,
+                                                              monkeypatch):
+    # argparse, not run(), refuses a command without --alpha or --n, or
+    # with a format other than csv and json
+    def no_run(cfg):
+        raise AssertionError("run called")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    argv = [name] + [a for flag in OPTIONS[name] if flag in _REQUIRED and flag != refused
+                     for a in (flag, _SAMPLES[flag][0])]
+    if refused == "--format":
+        argv += ["--format", "xml"]
+        message = "argument --format: invalid choice: 'xml'"
+    else:
+        message = f"the following arguments are required: {refused}"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_empty_alpha_exits_2_naming_the_missing_kind(capsys):
+    assert run_cli("pairs", "--alpha", "", "--n", "100") == 2
+    assert "lacks a 'kind:' prefix" in capsys.readouterr().err
 
 
 def test_oversized_dyadic_blocks_exit_3(tmp_path):
@@ -561,10 +646,15 @@ def test_exp_sum_refuses_bad_queries_before_sieving(tmp_path, monkeypatch):
 
 
 def test_run_refuses_bad_format_segment_cap_and_budget(tmp_path, capsys):
+    # the format is refused by argparse (and by emit_table for a direct
+    # caller), the segment cap and budget by run()
     out = str(tmp_path / "x.csv")
-    assert run_cli("pairs", "--alpha", "sqrt:2", "--n", "100", "--format", "xml",
-                   "--out", out) == 2
-    assert "unknown format 'xml'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli("pairs", "--alpha", "sqrt:2", "--n", "100", "--format", "xml", "--out", out)
+    assert exc.value.code == 2
+    assert "argument --format: invalid choice: 'xml'" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="unknown format 'xml'"):
+        emit_table([], "xml", out, ("a",))
     for flag, value in (("--segment-cap", "0"), ("--budget", "0")):
         assert run_cli("discrepancy", "--alpha", "sqrt:2", "--n", "100", "--interval", "0,0.5",
                        flag, value, "--out", out) == 2, flag
