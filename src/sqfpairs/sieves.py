@@ -23,24 +23,27 @@ a streamed window costs half a byte a value plus its primes, with no spread
 and no second nonzero pass.  No prime-only window builds an int64 array:
 only the mu and tau walk below does.
 
-Squarefree flags start from a wheel: a fixed two-period pattern of the
-multiples of 4, 9, 25 and 49 (period 44100, 88 KB) is copied into the
-window from its phase and doubled in place, and the squares of 11..59 are
-struck with one slice each.  Every cell that a larger prime square divides
-then comes from one hit lister, _square_hits, and all of them are cleared
-with one scatter: the multiples of the squares up to the window width are
+The two square sieves, squarefree_flags and square_radicals, start from one
+wheel table, built on first use: two periods (period 44100, 88 KB each) of
+the radicals of 4, 9, 25 and 49 as uint8 (cell g holds the product of those
+of 2, 3, 5 and 7 whose square divides g), and the flags derived from them as
+radicals == 1, so the two wheels agree by construction.  A window copies
+its wheel from the phase lo mod 44100 and doubles it in place.  Every cell
+that a larger prime square divides then comes from one hit lister,
+_square_hits: the multiples of the squares up to the window width are
 listed in one np.repeat pass, and each larger square hits the window at
-most once.  No pattern the size of a window is kept; a caller that
-flags many windows passes one buffer of its own as out=, so no window pays
-for a fresh array's page faults.  Every slice strike stores one shared
-read-only 0-d False array, so no slice store converts a Python bool first.
+most once.  The flags strike the squares of 11..59 with one slice each and
+clear the listed cells of the larger ones with one scatter; the radicals
+multiply each listed cell by its prime in one vectorised scatter.  Every
+slice strike stores one shared read-only 0-d False array, so no slice store
+converts a Python bool first.
 
-Square radicals R(m), the product of the primes p with p*p | m, start the
-same way in a caller's int32 buffer: a two-period uint8 wheel of the
-contributions of 4, 9, 25 and 49 (period 44100, 88 KB, built on first use)
-is copied from the window's phase and doubled in place.  The same hit
-lister gives the multiples of the larger squares, and one vectorised scatter
-multiplies each by its prime.
+No pattern the size of a window is kept: a caller that sieves many windows
+passes one buffer of its own as out=, so no window pays for a fresh array's
+page faults.  One rule, _buffer, checks such a buffer for both sieves: a
+writeable, C-contiguous 1-d array of the sieve's dtype with at least
+hi - lo cells, or ConfigError before any cell is written.  Both sieves cap
+their window at DEFAULT_SEGMENT_CAP, like every other sieve.
 
 The mu and tau channels share one walk over the prime powers q = p**k < hi
 of each base prime p, each striking its multiples with one slice.  At k = 1
@@ -74,8 +77,8 @@ from .errors import (
     WindowTooLargeError,
 )
 
-#: Largest window one sieve_segment or squarefree_flags call accepts, and the
-#: prime stream's default window.
+#: Largest window one sieve_segment, squarefree_flags or square_radicals call
+#: accepts, and the prime stream's default window.
 DEFAULT_SEGMENT_CAP = 1 << 22
 
 #: Hard ceiling on sieved values; keeps int64 intermediates exact.
@@ -87,15 +90,8 @@ _base_primes = np.array([2, 3], dtype=np.int64)
 _base_limit = 3
 
 
-#: Period of the squarefree wheel: the cells it strikes are the multiples of 4, 9, 25, 49.
+#: Period of the square wheels: the squares 4, 9, 25, 49 of the primes 2, 3, 5, 7.
 _WHEEL_PERIOD = 4 * 9 * 25 * 49
-
-#: Two wheel periods (88 KB), so any phase has a full period after it.
-_WHEEL = np.ones(2 * _WHEEL_PERIOD, dtype=bool)
-for _q in (4, 9, 25, 49):
-    _WHEEL[::_q] = False
-_WHEEL.flags.writeable = False
-del _q
 
 #: The value every strike stores: a read-only 0-d array, so a slice store
 #: copies it without first converting a Python bool.
@@ -312,24 +308,55 @@ def _square_hits(lo: int, n: int, above: int) -> tuple[np.ndarray, np.ndarray]:
     return cells, primes
 
 
+@lru_cache(maxsize=1)
+def _square_wheels() -> tuple[np.ndarray, np.ndarray]:
+    """(radicals, flags): two periods (88 KB each, read-only) of the square wheels.
+
+    Cell g of radicals holds the product of those of 2, 3, 5, 7 whose square
+    divides g; flags is radicals == 1, False exactly at the multiples of 4,
+    9, 25 and 49.  Built on first use, not at import.
+    """
+    radicals = np.ones(2 * _WHEEL_PERIOD, dtype=np.uint8)
+    for p in (2, 3, 5, 7):
+        radicals[:: p * p] *= p
+    flags = radicals == 1
+    radicals.flags.writeable = flags.flags.writeable = False
+    return radicals, flags
+
+
+def _buffer(out, n: int, dtype) -> np.ndarray:
+    """out[:n], for a square sieve's caller-owned buffer out.
+
+    out must be a writeable, C-contiguous 1-d array of dtype with at least n
+    cells; anything else raises ConfigError before any cell is written.
+    """
+    if (not isinstance(out, np.ndarray) or out.dtype != dtype or out.ndim != 1
+            or not (out.flags.c_contiguous and out.flags.writeable) or out.size < n):
+        raise ConfigError(f"out must be a writeable, contiguous 1-d {np.dtype(dtype)} "
+                          f"array of at least {n} cells")
+    return out[:n]
+
+
 def squarefree_flags(lo: int, hi: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Boolean array over [lo, hi): True where the value is squarefree.
 
     The package's one squarefree sieve: the mu channel of sieve_segment
     takes its zeros from here.  Value 0 is not squarefree by convention.
     A window of more than DEFAULT_SEGMENT_CAP values raises
-    WindowTooLargeError.
+    WindowTooLargeError, as in every sieve of this module.
 
     out, when given, is a caller-owned buffer reused across windows: a
-    contiguous 1-d bool array of at least hi - lo cells.  The flags are
-    written to out[:hi - lo], which is returned; its old contents never
-    matter, since the wheel fill writes every cell before any strike, and
-    the cells past hi - lo are left alone.  Otherwise a fresh array is
-    returned.
+    writeable, C-contiguous 1-d bool array of at least hi - lo cells;
+    anything else raises ConfigError before any cell is written (_buffer,
+    shared with square_radicals).  The flags are written to out[:hi - lo],
+    which is returned; its old contents never matter, since the wheel fill
+    writes every cell before any strike, and the cells past hi - lo are
+    left alone.  Otherwise a fresh array is returned.
 
     One pass over one bool array:
 
-    1. Wheel fill: copy one period of the wheel from the phase lo mod 44100
+    1. Wheel fill: copy one period of the flag wheel (radicals == 1 of the
+       square wheels, module docstring) from the phase lo mod 44100
        and double it in place by slice copies (the copied length stays a
        multiple of the period).
     2. Strike the squares of 11..59, one slice each.
@@ -345,36 +372,23 @@ def squarefree_flags(lo: int, hi: int, out: Optional[np.ndarray] = None) -> np.n
     """
     _check_window(lo, hi)
     n = hi - lo
-    if out is None:
-        flags = np.empty(n, dtype=bool)
-    elif (not isinstance(out, np.ndarray) or out.dtype != bool or out.ndim != 1
-            or not out.flags.c_contiguous or out.size < n):
-        raise ConfigError(f"out must be a contiguous 1-d bool array of at least {n} cells")
-    else:
-        flags = out[:n]
-    _tile(flags, _WHEEL, lo % _WHEEL_PERIOD, _WHEEL_PERIOD)
+    flags = np.empty(n, dtype=bool) if out is None else _buffer(out, n, bool)
+    _tile(flags, _square_wheels()[1], lo % _WHEEL_PERIOD, _WHEEL_PERIOD)
     for q in _SLICE_SQUARES:
         flags[(-lo) % q::q] = _FALSE
     flags[_square_hits(lo, n, 59)[0]] = False
     return flags
 
 
-@lru_cache(maxsize=1)
-def _radical_wheel() -> np.ndarray:
-    """Two periods of the radical wheel (88 KB, read-only): cell g holds the
-    product of those of 2, 3, 5, 7 whose square divides g."""
-    wheel = np.ones(2 * _WHEEL_PERIOD, dtype=np.uint8)
-    for p in (2, 3, 5, 7):
-        wheel[:: p * p] *= p
-    wheel.flags.writeable = False
-    return wheel
-
-
 def square_radicals(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
     """R(m) for m in [lo, hi), 0 < lo, in out[:hi - lo]: the product of the primes p with p*p | m.
 
-    out is a caller-owned int32 buffer of at least hi - lo cells, returned as
-    out[:hi - lo]; R(m)**2 divides m < GLOBAL_MAX, so R(m) <= 2**26 fits.
+    out is a caller-owned buffer: a writeable, C-contiguous 1-d int32 array
+    of at least hi - lo cells, returned as out[:hi - lo]; anything else
+    raises ConfigError before any cell is written (_buffer, shared with
+    squarefree_flags).  R(m)**2 divides m < GLOBAL_MAX, so R(m) <= 2**26
+    fits.  A window of more than DEFAULT_SEGMENT_CAP values raises
+    WindowTooLargeError, whatever the size of out.
     Two passes: the window is tiled from the radical wheel at the phase
     lo mod 44100, which puts in the primes 2, 3, 5 and 7; then _square_hits
     lists every cell that the square of a prime p > 7 divides, and one
@@ -384,12 +398,10 @@ def square_radicals(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
     """
     if lo < 1:
         raise InvalidRangeError(f"R(0) is undefined: need lo >= 1, got lo={lo}")
-    if not isinstance(out, np.ndarray) or out.dtype != np.int32 or out.ndim != 1:
-        raise ConfigError("out must be a 1-d int32 array")
-    _check_window(lo, hi, out.size)
+    _check_window(lo, hi)
     n = hi - lo
-    rad = out[:n]
-    _tile(rad, _radical_wheel(), lo % _WHEEL_PERIOD, _WHEEL_PERIOD)
+    rad = _buffer(out, n, np.int32)
+    _tile(rad, _square_wheels()[0], lo % _WHEEL_PERIOD, _WHEEL_PERIOD)
     cells, primes = _square_hits(lo, n, 7)  # the wheel holds 2, 3, 5, 7
     np.multiply.at(rad, cells, primes.astype(np.int32))
     return rad

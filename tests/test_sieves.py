@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +190,10 @@ def test_window_errors():
             sieve_segment(lo, lo + sieves.DEFAULT_SEGMENT_CAP + 1, {"mu"})
         with pytest.raises(WindowTooLargeError):
             squarefree_flags(lo, lo + sieves.DEFAULT_SEGMENT_CAP + 1)
+    # square_radicals shares the cap, whatever the size of its buffer
+    big = np.empty(sieves.DEFAULT_SEGMENT_CAP + 1, dtype=np.int32)
+    with pytest.raises(WindowTooLargeError):
+        square_radicals(1, 2 + sieves.DEFAULT_SEGMENT_CAP, big)
     with pytest.raises(ConfigError):
         sieve_segment(0, 10, set())
     with pytest.raises(ConfigError):
@@ -472,6 +480,71 @@ def test_squarefree_flags_rejects_bad_buffers():
             squarefree_flags(10 ** 6, 10 ** 6 + n, out=bad)
 
 
+#: (sieve, dtype, sentinel, wrong dtype) of the two square sieves; the sentinel
+#: is a value the sieve's window below writes over somewhere.
+_SQUARE_SIEVES = {"flags": (squarefree_flags, bool, True, np.uint8),
+                  "radicals": (square_radicals, np.int32, -7, np.int64)}
+
+
+def _bad_buffers(dtype, sentinel, wrong, n):
+    # (name, buffer, the array holding its cells): each is refused by _buffer
+    readonly = np.full(n, sentinel, dtype=dtype)
+    readonly.flags.writeable = False
+    yield "read-only", readonly, readonly
+    flat = np.full(2 * n, sentinel, dtype=dtype)
+    view = flat[:n]
+    view.flags.writeable = False  # a read-only view of a writeable array
+    yield "read-only view", view, flat
+    strided = np.full(2 * n, sentinel, dtype=dtype)
+    yield "strided", strided[::2], strided
+    square = np.full((2, n), sentinel, dtype=dtype)
+    yield "2-d", square, square
+    wrong_dtype = np.full(n, sentinel, dtype=wrong)
+    yield "wrong dtype", wrong_dtype, wrong_dtype
+    short = np.full(n - 1, sentinel, dtype=dtype)
+    yield "a cell short", short, short
+
+
+@pytest.mark.parametrize("name", sorted(_SQUARE_SIEVES))
+def test_square_sieves_refuse_bad_buffers_before_writing(name):
+    sieve, dtype, sentinel, wrong = _SQUARE_SIEVES[name]
+    lo, n = 10 ** 6, 100
+    for case, buf, cells in _bad_buffers(dtype, sentinel, wrong, n):
+        before = cells.copy()
+        with pytest.raises(ConfigError):
+            sieve(lo, lo + n, out=buf)
+        assert np.array_equal(cells, before), (name, case)
+    exact = np.full(n, sentinel, dtype=dtype)
+    got = sieve(lo, lo + n, out=exact)
+    assert got.shape == (n,) and np.shares_memory(got, exact)
+    assert not np.all(exact == sentinel)  # the window did write over the sentinel
+
+
+def test_square_wheels_are_one_read_only_table():
+    radicals, flags = sieves._square_wheels()
+    assert sieves._square_wheels()[0] is radicals and sieves._square_wheels()[1] is flags
+    assert not radicals.flags.writeable and not flags.flags.writeable
+    assert radicals.dtype == np.uint8 and flags.dtype == bool
+    cells = np.arange(2 * _WHEEL_PERIOD)
+    expected = (cells % 4 != 0) & (cells % 9 != 0) & (cells % 25 != 0) & (cells % 49 != 0)
+    assert np.array_equal(flags, expected)
+    assert np.array_equal(flags, radicals == 1)
+    assert [int(radicals[g]) for g in (0, 4, 18, 50, 49 * 9, 4 * 25 * 49, 44100)] == \
+        [210, 2, 3, 5, 21, 70, 210]
+
+
+def test_importing_the_cli_builds_no_square_wheel():
+    # an eager radical wheel cost 0.25 MiB of import RSS, so the table waits for a sieve
+    code = ("import sqfpairs.cli\n"
+            "from sqfpairs import sieves\n"
+            "print(sieves._square_wheels.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(Path(sieves.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "0"
+
+
 def _radicals_per_square(lo, hi):
     # reference: one slice per prime square over the whole window, no wheel
     rad = np.ones(hi - lo, dtype=np.int64)
@@ -533,8 +606,11 @@ def test_square_radicals_examples_and_checks():
     assert square_radicals(5336100, 5336101, np.empty(1, dtype=np.int32)).tolist() == [2310]
     with pytest.raises(InvalidRangeError):
         square_radicals(0, 5, np.empty(5, dtype=np.int32))
-    with pytest.raises(WindowTooLargeError):
-        square_radicals(1, 7, np.empty(5, dtype=np.int32))
+    # a buffer too short for the window is refused before any cell is written
+    short = np.full(5, -7, dtype=np.int32)
+    with pytest.raises(ConfigError):
+        square_radicals(1, 7, short)
+    assert short.tolist() == [-7] * 5
     for bad in (np.empty(5, dtype=np.uint8), np.empty((1, 5), dtype=np.int32), [1] * 5):
         with pytest.raises(ConfigError):
             square_radicals(1, 5, bad)
